@@ -1,19 +1,20 @@
 """E13 -- compiled-session batches vs the naive per-seed re-solve loop.
 
 The unified execution API's performance claim: a multi-seed batch through
-one compiled :class:`repro.Session` beats the legacy loop that calls a
-``solve_*`` helper once per seed, on the same E9-scale preferential-
+one compiled :class:`repro.Session` beats the loop that calls the one-shot
+:func:`repro.execute` once per seed, on the same E9-scale preferential-
 attachment graph, with byte-identical results.
 
 Two baselines are measured:
 
-* **legacy loop, default engine** -- ``solve_mds_randomized(graph, seed=s)``
-  per seed exactly as a fresh process runs it (the process-wide default
-  engine is the reference engine; the benchmark harness overrides it, so
-  this row pins ``engine="reference"`` explicitly).  The session defaults
-  to nothing slower than the batched fast path, so this is the user-visible
-  before/after of switching APIs: target >= 2x.
-* **legacy loop, batched engine** -- the same-engine control.  Everything
+* **one-shot loop, default engine** -- ``repro.execute(RunSpec(graph,
+  algorithm="randomized", seed=s))`` per seed exactly as a fresh process
+  runs it (the process-wide default engine is the reference engine; the
+  benchmark harness overrides it, so this row pins ``engine="reference"``
+  explicitly).  The session defaults to nothing slower than the batched
+  fast path, so this is the user-visible before/after of keeping a
+  session: target >= 2x.
+* **one-shot loop, batched engine** -- the same-engine control.  Everything
   separating it from the session batch is compiled-state reuse: the
   degeneracy bound, the network (one ``NodeContext`` per node), the CSR
   adjacency layout and the payload-bit memo are built once instead of once
@@ -28,11 +29,10 @@ invariant; reuse parity is enforced by ``tests/run/test_parity_grid.py``).
 from __future__ import annotations
 
 import time
-import warnings
 
 import pytest
 
-from repro import RunSpec, Session, solve_mds_randomized
+from repro import RunSpec, Session, execute
 from repro.analysis.tables import format_table
 from repro.graphs.generators import preferential_attachment_graph
 from repro.graphs.weights import assign_random_weights
@@ -42,13 +42,16 @@ from repro.run.result import result_bytes
 SEEDS = tuple(range(8))
 
 
-def _legacy_loop(graph, engine):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return [
-            solve_mds_randomized(graph, t=1, seed=seed, engine=engine)
-            for seed in SEEDS
-        ]
+def _one_shot_loop(graph, engine):
+    return [
+        execute(
+            RunSpec(
+                graph=graph, algorithm="randomized", params={"t": 1},
+                seed=seed, engine=engine,
+            )
+        )
+        for seed in SEEDS
+    ]
 
 
 def _session_batch(graph):
@@ -68,8 +71,8 @@ def _run(bench_seed):
     graph = preferential_attachment_graph(2500, attachment=32, seed=bench_seed)
     assign_random_weights(graph, 1, 30, seed=11)
 
-    default_s, default_results = _timed(_legacy_loop, graph, "reference")
-    batched_s, batched_results = _timed(_legacy_loop, graph, "batched")
+    default_s, default_results = _timed(_one_shot_loop, graph, "reference")
+    batched_s, batched_results = _timed(_one_shot_loop, graph, "batched")
     session_s, session_results = _timed(_session_batch, graph)
 
     # The speedups below are only claims because the streams are identical.
@@ -85,12 +88,12 @@ def _run(bench_seed):
             "seeds": len(SEEDS),
             "total_s": round(total, 3),
             "per_run_s": round(total / len(SEEDS), 4),
-            "vs_legacy_default": round(default_s / total, 2),
+            "vs_one_shot_default": round(default_s / total, 2),
         }
 
     return [
-        _row("legacy solve_* loop (fresh-process default)", "reference", default_s),
-        _row("legacy solve_* loop", "batched", batched_s),
+        _row("one-shot execute loop (fresh-process default)", "reference", default_s),
+        _row("one-shot execute loop", "batched", batched_s),
         _row("Session.run_many (compiled reuse)", "batched", session_s),
     ]
 
@@ -98,16 +101,16 @@ def _run(bench_seed):
 @pytest.mark.bench
 def test_e13_session_reuse(benchmark, record_experiment, bench_seed):
     rows = benchmark.pedantic(_run, args=(bench_seed,), rounds=1, iterations=1)
-    legacy_default, legacy_batched, session = rows
+    one_shot_default, one_shot_batched, session = rows
 
-    # The acceptance bar: the batch beats the naive per-seed solve_* loop
+    # The acceptance bar: the batch beats the naive per-seed execute loop
     # by >= 2x on the E9-scale instance (measured much higher; asserted with
     # slack for noisy CI machines).
-    assert session["vs_legacy_default"] >= 2.0, rows
+    assert session["vs_one_shot_default"] >= 2.0, rows
 
     # Same-engine control: compiled-state reuse must never lose to the
     # per-seed rebuild loop; the measured margin is the pure reuse win.
-    reuse_speedup = round(legacy_batched["total_s"] / session["total_s"], 2)
+    reuse_speedup = round(one_shot_batched["total_s"] / session["total_s"], 2)
     assert reuse_speedup >= 1.0, rows
 
     record_experiment(
@@ -115,7 +118,7 @@ def test_e13_session_reuse(benchmark, record_experiment, bench_seed):
         "Multi-seed batch on one compiled Session vs naive per-seed re-solve loop",
         format_table(rows)
         + f"\n\nSame-engine (batched) control: Session batch is {reuse_speedup}x the "
-        "legacy loop -- the pure compiled-state-reuse margin (degeneracy bound, "
+        "one-shot loop -- the pure compiled-state-reuse margin (degeneracy bound, "
         "network construction, CSR adjacency layout and payload-bit memo built "
         "once per graph instead of once per seed).\n"
         "Parity: all three record streams byte-identical per seed (asserted "

@@ -81,8 +81,8 @@ def main() -> None:
     print("\nall outputs verified to be dominating sets")
 
     # 5. The "deterministic" algorithm dispatches to the Section 3 warm-up
-    #    when every weight is one; repro.execute is the one-shot form (the
-    #    legacy solve_mds(...) helpers wrap exactly this, byte-identically).
+    #    when every weight is one; repro.execute is the one-shot form of a
+    #    Session run.
     unweighted = forest_union_graph(n=150, alpha=3, seed=43)
     result = repro.execute(
         repro.RunSpec(graph=unweighted, algorithm="deterministic",

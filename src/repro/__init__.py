@@ -35,26 +35,16 @@ Quickstart (compiled batch, fast engine, faults)::
     with repro.Session() as session:
         results = list(session.run_many(base=spec, seeds=range(8)))
 
-The legacy per-algorithm ``solve_*`` helpers remain available (and
-byte-identical), wrapping the API above; see :mod:`repro.core.api` for the
-deprecation path.
+The per-algorithm ``solve_*`` helpers of the 1.x releases are gone: every
+one of them is a named algorithm of :data:`repro.run.ALGORITHMS`, run
+through the API above.
 """
 
 from repro.congest.metrics import RoundMetrics, RunMetrics
-from repro.core.api import (
-    DominatingSetResult,
-    solve_mds,
-    solve_mds_forest,
-    solve_mds_general,
-    solve_mds_randomized,
-    solve_mds_unknown_arboricity,
-    solve_mds_unknown_degree,
-    solve_weighted_mds,
-)
 from repro.faults import FAULT_MODELS, AdversarialEngine, FaultPlan, FaultSpec
-from repro.run import RunSpec, Session, execute
+from repro.run import DominatingSetResult, RunSpec, Session, execute
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # unified execution API
@@ -70,13 +60,5 @@ __all__ = [
     "FaultSpec",
     "FAULT_MODELS",
     "AdversarialEngine",
-    # legacy helpers (deprecated wrappers over RunSpec/execute)
-    "solve_mds",
-    "solve_mds_forest",
-    "solve_mds_general",
-    "solve_mds_randomized",
-    "solve_mds_unknown_arboricity",
-    "solve_mds_unknown_degree",
-    "solve_weighted_mds",
     "__version__",
 ]

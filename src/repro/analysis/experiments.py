@@ -16,7 +16,7 @@ import networkx as nx
 
 from repro.analysis.opt import OptEstimate, estimate_opt
 from repro.analysis.verify import VerificationReport, verify_run
-from repro.core.api import DominatingSetResult
+from repro.run import DominatingSetResult
 from repro.graphs.generators import GraphInstance
 
 __all__ = [
@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 #: A solver is any callable mapping a graph instance to a DominatingSetResult,
-#: e.g. ``lambda inst: solve_mds(inst.graph, alpha=inst.alpha, epsilon=0.2)``.
+#: e.g. ``lambda inst: repro.execute(repro.RunSpec(graph=inst.graph,
+#: algorithm="deterministic", alpha=inst.alpha))``.
 Solver = Callable[[GraphInstance], DominatingSetResult]
 
 

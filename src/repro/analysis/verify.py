@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 import networkx as nx
 
 from repro.analysis.opt import OptEstimate, estimate_opt
-from repro.core.api import DominatingSetResult
+from repro.run import DominatingSetResult
 from repro.core.packing import is_feasible_packing, packing_from_outputs, packing_value_sum
 from repro.graphs.validation import is_dominating_set
 

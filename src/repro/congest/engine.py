@@ -36,8 +36,8 @@ hooks run through the vectorized faulted driver in
 Engine selection
 ----------------
 
-Every entry point (``Simulator``, ``run_algorithm``, ``RunSpec``/``Session``
-and the legacy ``solve_*`` helpers) accepts
+Every entry point (``Simulator``, ``run_algorithm``, ``RunSpec``/``Session``)
+accepts
 ``engine="reference" | "batched" | "kernel"``, an :class:`Engine` instance,
 or ``None`` meaning "use the process-wide default" (see
 :func:`set_default_engine`; the initial default is the reference engine).

@@ -52,9 +52,11 @@ class BandwidthViolation(CongestError):
 class EngineCapabilityError(CongestError):
     """A run asked an engine for a feature it does not provide.
 
-    Raised instead of silently degrading -- e.g. the kernel engine refuses
+    Raised instead of silently degrading -- e.g. the sharded engine refuses
     fault-injection hooks rather than executing the plan-free schedule and
     reporting fault-free metrics under an adversary the caller configured.
+    :func:`repro.congest.kernels.check_capability` holds the capability
+    table and is the one place it is raised.
 
     ``algorithm`` / ``engine`` / ``fault_model`` (all optional) identify
     the capability-matrix cell that was asked for, so sweep skip records

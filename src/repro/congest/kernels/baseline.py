@@ -33,7 +33,8 @@ class _FaultedLWDeterministic:
     the per-node handler's ``2 ** phase``).
     """
 
-    def __init__(self, grid, config):
+    def __init__(self, grid, config, algorithm, seed, n_global):
+        del algorithm, seed, n_global  # parameter-free
         self.grid = grid
         n = grid.n
         self.phase = np.full(
@@ -81,12 +82,11 @@ class _FaultedLWDeterministic:
 
 def lw_deterministic_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
     """Execute the LW-style deterministic greedy; see module docstring."""
-    del algorithm, seed  # parameter-free
     if hooks is not None:
         return run_program(
             grid,
             hooks,
-            _FaultedLWDeterministic(grid, config),
+            _FaultedLWDeterministic(grid, config, algorithm, seed, grid.n),
             budget=budget,
             limit=limit,
             strict=strict,

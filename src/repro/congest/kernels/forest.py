@@ -29,7 +29,8 @@ __all__ = ["forest_kernel"]
 class _FaultedForest:
     """Round-by-round forest program for the faulted driver."""
 
-    def __init__(self, grid):
+    def __init__(self, grid, config, algorithm, seed, n_global):
+        del config, algorithm, seed, n_global  # parameter-free
         self.grid = grid
         n = grid.n
         self.in_ds = np.zeros(n, dtype=bool)
@@ -84,10 +85,10 @@ class _FaultedForest:
 
 def forest_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
     """Execute the Observation A.1 forest algorithm; see module docstring."""
-    del config, algorithm, seed  # parameter-free and configuration-free
     if hooks is not None:
+        program = _FaultedForest(grid, config, algorithm, seed, grid.n)
         return run_program(
-            grid, hooks, _FaultedForest(grid), budget=budget, limit=limit, strict=strict
+            grid, hooks, program, budget=budget, limit=limit, strict=strict
         )
     metrics = RunMetrics(bandwidth_budget_bits=budget)
     n = grid.n

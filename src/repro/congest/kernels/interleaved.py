@@ -45,7 +45,18 @@ __all__ = ["lw_randomized_kernel", "unknown_degree_kernel"]
 class _FaultedLWRandomized:
     """Four-round nomination phases of the LW randomized baseline."""
 
-    def __init__(self, grid, config, seed):
+    @staticmethod
+    def validate(grid, config, algorithm, seed):
+        del grid, config, algorithm
+        if seed is None:
+            raise ValueError(
+                "the lw-randomized kernel needs the network seed to replay the "
+                "per-node RNG streams"
+            )
+
+    def __init__(self, grid, config, algorithm, seed, n_global):
+        del n_global  # the phase count reads the global n from config
+        self.validate(grid, config, algorithm, seed)
         self.grid = grid
         self.seed = seed
         n = grid.n
@@ -145,16 +156,10 @@ class _FaultedLWRandomized:
 
 def lw_randomized_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
     """Execute the LW-style randomized nomination baseline (driver-based)."""
-    del algorithm  # parameter-free; randomness comes from the network seed
-    if seed is None:
-        raise ValueError(
-            "the lw-randomized kernel needs the network seed to replay the "
-            "per-node RNG streams"
-        )
     return run_program(
         grid,
         hooks,
-        _FaultedLWRandomized(grid, config, seed),
+        _FaultedLWRandomized(grid, config, algorithm, seed, grid.n),
         budget=budget,
         limit=limit,
         strict=strict,
@@ -169,7 +174,8 @@ class _FaultedUnknownDegree:
     boolean arrays over the CSR edge list.
     """
 
-    def __init__(self, grid, config, algorithm):
+    def __init__(self, grid, config, algorithm, seed, n_global):
+        del seed  # deterministic algorithm
         self.grid = grid
         self.config = config
         self.epsilon = algorithm.epsilon
@@ -181,7 +187,8 @@ class _FaultedUnknownDegree:
             np.maximum(1, int_bit_lengths(self.weights) + 1)
             + np.maximum(1, int_bit_lengths(closed_degree) + 1)
         )
-        self.float_bits = 2 * word_size_bits(max(2, n))
+        # Global node count, like the primal-dual program's message width.
+        self.float_bits = 2 * word_size_bits(max(2, n_global))
         self.one_plus_eps = 1.0 + self.epsilon
         self.join_threshold = self.weights / self.one_plus_eps
         self.x = np.zeros(n, dtype=np.float64)
@@ -370,11 +377,10 @@ class _FaultedUnknownDegree:
 
 def unknown_degree_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
     """Execute the Remark 4.4 unknown-``Delta`` variant (driver-based)."""
-    del seed  # deterministic algorithm
     return run_program(
         grid,
         hooks,
-        _FaultedUnknownDegree(grid, config, algorithm),
+        _FaultedUnknownDegree(grid, config, algorithm, seed, grid.n),
         budget=budget,
         limit=limit,
         strict=strict,

@@ -102,9 +102,8 @@ def _validated_schedule(grid, config, algorithm):
 
 def primal_dual_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
     """Execute a Weighted/Unweighted MDS instance; see module docstring."""
-    del seed  # deterministic algorithm
     if hooks is not None:
-        program = _FaultedPrimalDual(grid, config, algorithm)
+        program = _FaultedPrimalDual(grid, config, algorithm, seed, grid.n)
         return run_program(
             grid, hooks, program, budget=budget, limit=limit, strict=strict
         )
@@ -258,7 +257,14 @@ class _FaultedPrimalDual:
     silenced neighbor changes what each node actually received.
     """
 
-    def __init__(self, grid, config, algorithm):
+    @staticmethod
+    def validate(grid, config, algorithm, seed):
+        del seed  # deterministic algorithm
+        if grid.n:
+            _validated_schedule(grid, config, algorithm)
+
+    def __init__(self, grid, config, algorithm, seed, n_global):
+        del seed  # deterministic algorithm
         self.grid = grid
         n = grid.n
         if n:
@@ -269,7 +275,9 @@ class _FaultedPrimalDual:
             self.max_degree, self.finalize_round = 0, 1
         self.weights = grid.weights
         self.weight_bits = np.maximum(1, int_bit_lengths(self.weights) + 1)
-        self.float_bits = 2 * word_size_bits(max(2, n))
+        # The message width follows the whole graph's node count, also on a
+        # shard-local grid.
+        self.float_bits = 2 * word_size_bits(max(2, n_global))
         self.one_plus_eps = 1.0 + algorithm.epsilon
         self.join_threshold = self.weights / self.one_plus_eps
         self.x = np.zeros(n, dtype=np.float64)

@@ -23,7 +23,7 @@ Modules
     emission/assembly runtime the kernel programs talk to (the sharded
     counterpart of :class:`~repro.congest.kernels.faults.FaultedRun`).
 ``worker``
-    The worker process entry point and the program-builder registry.
+    The worker process entry point.
 ``engine``
     The coordinator loop, :class:`~repro.congest.sharded.engine.ShardedEngine`,
     and the sharded-tier telemetry registry.
@@ -31,7 +31,6 @@ Modules
 
 from repro.congest.sharded.engine import (
     ShardedEngine,
-    has_sharded_program,
     run_sharded_program,
     sharded_metrics,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ShardPlan",
     "ShardSpec",
     "build_partition",
-    "has_sharded_program",
     "run_sharded_program",
     "shard_owner",
     "sharded_metrics",

@@ -37,11 +37,8 @@ import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.congest.engine import Engine
-from repro.congest.errors import (
-    BandwidthViolation,
-    EngineCapabilityError,
-    NonConvergenceError,
-)
+from repro.congest.errors import BandwidthViolation, NonConvergenceError
+from repro.congest.kernels import check_capability, program_for
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.sharded.partition import build_partition
 from repro.congest.sharded.shmem import (
@@ -62,9 +59,7 @@ from repro.congest.sharded.worker import WorkerTask, worker_main
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "SHARDED_PROGRAMS",
     "ShardedEngine",
-    "has_sharded_program",
     "run_sharded_program",
     "sharded_metrics",
 ]
@@ -73,37 +68,8 @@ __all__ = [
 #: into ``/metrics`` next to the service registry.
 sharded_metrics = MetricsRegistry()
 
-#: Dotted algorithm class path -> worker program kind.  Mirrors (and must
-#: stay a subset of) :data:`repro.congest.kernels.KERNELS` -- the sharded
-#: tier distributes exactly the driver-based kernel programs.
-SHARDED_PROGRAMS: Dict[str, str] = {
-    "repro.core.trees.ForestMDSAlgorithm": "forest",
-    "repro.core.weighted.WeightedMDSAlgorithm": "primal_dual",
-    "repro.core.unweighted.UnweightedMDSAlgorithm": "primal_dual",
-    "repro.baselines.lenzen_wattenhofer.LWDeterministicAlgorithm": "lw_deterministic",
-    "repro.baselines.lenzen_wattenhofer.LWRandomizedAlgorithm": "lw_randomized",
-    "repro.core.unknown_params.UnknownDegreeMDSAlgorithm": "unknown_degree",
-}
-
 #: How long the output-collection poll waits before declaring a dead worker.
 _OUTPUT_POLL_SECONDS = 0.001
-
-
-def _dotted(cls: type) -> str:
-    return f"{cls.__module__}.{cls.__qualname__}"
-
-
-def has_sharded_program(algorithm) -> bool:
-    """Whether ``algorithm`` (an instance) executes on the sharded tier.
-
-    Dispatch is by exact class, like the kernel tier: a subclass may change
-    round behavior the distributed program does not replay.
-    """
-    return _dotted(type(algorithm)) in SHARDED_PROGRAMS
-
-
-def _algorithm_label(algorithm) -> str:
-    return getattr(algorithm, "name", type(algorithm).__name__)
 
 
 def _default_start_method() -> str:
@@ -111,22 +77,18 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def _prevalidate(program_kind: str, grid, config, algorithm, seed) -> None:
+def _prevalidate(program, grid, config, algorithm, seed) -> None:
     """Replay the single-process raise precedence for config-level errors.
 
     These exceptions fire during program *construction* in the unsharded
-    run; raising them here, before any process spawns, keeps the failure
-    cheap and the message byte-identical.
+    run; the program's ``validate`` raises them against the global grid
+    before any process spawns, which keeps the failure cheap and the
+    message byte-identical (a shard-local grid could trip a different
+    check first).
     """
-    if program_kind == "lw_randomized" and seed is None:
-        raise ValueError(
-            "the lw-randomized kernel needs the network seed to replay the "
-            "per-node RNG streams"
-        )
-    if program_kind == "primal_dual" and grid.n:
-        from repro.congest.kernels.primal_dual import _validated_schedule
-
-        _validated_schedule(grid, config, algorithm)
+    validate = getattr(program, "validate", None)
+    if validate is not None:
+        validate(grid, config, algorithm, seed)
 
 
 def _rebuild_error(payloads: List[Dict[str, Any]], budget: int) -> BaseException:
@@ -187,17 +149,11 @@ def run_sharded_program(
     ``start_method`` to ``fork`` where available (``spawn`` requires the
     algorithm instance to be picklable); ``barrier_timeout`` bounds every
     barrier wait so a crashed worker surfaces as :class:`TransportError`
-    instead of a hang.
+    instead of a hang.  Callers check the algorithm has a driver program
+    first (:func:`repro.congest.kernels.check_capability`).
     """
-    program_kind = SHARDED_PROGRAMS.get(_dotted(type(algorithm)))
-    if program_kind is None:
-        raise EngineCapabilityError(
-            f"algorithm {_algorithm_label(algorithm)!r} has no sharded program; "
-            "engine='sharded' supports exactly the kerneled algorithms",
-            algorithm=_algorithm_label(algorithm),
-            engine="sharded",
-        )
-    _prevalidate(program_kind, grid, config, algorithm, seed)
+    program = program_for(algorithm)
+    _prevalidate(program, grid, config, algorithm, seed)
     metrics = RunMetrics(bandwidth_budget_bits=budget)
     n_global = grid.n
     if n_global == 0:
@@ -225,7 +181,8 @@ def run_sharded_program(
     # exception window can leak a segment.
     try:
         sharded_metrics.counter(
-            "sharded_runs_total", "Sharded-tier runs started", program=program_kind
+            "sharded_runs_total", "Sharded-tier runs started",
+            algorithm=getattr(algorithm, "name", type(algorithm).__name__),
         ).inc()
         # Session hands the shared read-only MappingProxyType config straight
         # through; proxies cannot pickle, and the spawn start method pickles
@@ -235,7 +192,7 @@ def run_sharded_program(
             task = WorkerTask(
                 endpoint=transport.endpoint(shard),
                 spec=plan.specs[shard],
-                program=program_kind,
+                program=program,
                 config=config,
                 algorithm=algorithm,
                 seed=seed,
@@ -397,22 +354,9 @@ class ShardedEngine(Engine):
         self.barrier_timeout = barrier_timeout
 
     def execute(self, network, algorithm, *, budget, limit, strict, hooks=None):
-        label = _algorithm_label(algorithm)
-        if hooks is not None:
-            raise EngineCapabilityError(
-                "fault plans are not supported on engine='sharded'; run "
-                "faulted cells on engine='kernel'",
-                algorithm=label,
-                engine=self.name,
-                fault_model="faulted",
-            )
-        if not has_sharded_program(algorithm):
-            raise EngineCapabilityError(
-                f"algorithm {label!r} has no sharded program; engine='sharded' "
-                "supports exactly the kerneled algorithms",
-                algorithm=label,
-                engine=self.name,
-            )
+        check_capability(
+            algorithm, self.name, fault_model=None if hooks is None else "faulted"
+        )
         from repro.congest.kernels.grid import grid_from_network
 
         grid = grid_from_network(network)

@@ -25,7 +25,7 @@ means some other party died) exit quietly -- the coordinator reports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -49,74 +49,21 @@ from repro.congest.sharded.shmem import (
 )
 from repro.obs.metrics import peak_rss_kib
 
-__all__ = ["PROGRAM_BUILDERS", "WorkerTask", "worker_main"]
-
-
-def _patch_float_bits(program, n_global: int) -> None:
-    """Rescale a program's float width to the *global* node count.
-
-    ``_FaultedPrimalDual`` / ``_FaultedUnknownDegree`` derive their float
-    message width from ``grid.n``; on a shard-local grid that would shrink
-    the width (and the bandwidth accounting) relative to the single-process
-    run, so it is re-derived from the global ``n`` here.
-    """
-    from repro.congest.message import word_size_bits
-
-    program.float_bits = 2 * word_size_bits(max(2, n_global))
-
-
-def _build_forest(grid, config, algorithm, seed, n_global):
-    from repro.congest.kernels.forest import _FaultedForest
-
-    return _FaultedForest(grid)
-
-
-def _build_primal_dual(grid, config, algorithm, seed, n_global):
-    from repro.congest.kernels.primal_dual import _FaultedPrimalDual
-
-    program = _FaultedPrimalDual(grid, config, algorithm)
-    _patch_float_bits(program, n_global)
-    return program
-
-
-def _build_lw_deterministic(grid, config, algorithm, seed, n_global):
-    from repro.congest.kernels.baseline import _FaultedLWDeterministic
-
-    return _FaultedLWDeterministic(grid, config)
-
-
-def _build_lw_randomized(grid, config, algorithm, seed, n_global):
-    from repro.congest.kernels.interleaved import _FaultedLWRandomized
-
-    return _FaultedLWRandomized(grid, config, seed)
-
-
-def _build_unknown_degree(grid, config, algorithm, seed, n_global):
-    from repro.congest.kernels.interleaved import _FaultedUnknownDegree
-
-    program = _FaultedUnknownDegree(grid, config, algorithm)
-    _patch_float_bits(program, n_global)
-    return program
-
-
-#: Program-kind name -> builder.  Keys match
-#: :data:`repro.congest.sharded.engine.SHARDED_PROGRAMS` values.
-PROGRAM_BUILDERS = {
-    "forest": _build_forest,
-    "primal_dual": _build_primal_dual,
-    "lw_deterministic": _build_lw_deterministic,
-    "lw_randomized": _build_lw_randomized,
-    "unknown_degree": _build_unknown_degree,
-}
+__all__ = ["WorkerTask", "worker_main"]
 
 
 @dataclass
 class WorkerTask:
-    """Everything one worker process needs (picklable)."""
+    """Everything one worker process needs (picklable).
+
+    ``program`` is the algorithm's driver program from
+    :data:`repro.congest.kernels.KERNELS`, built against the shard-local
+    grid with the global node count.
+    """
 
     endpoint: SharedMemoryEndpoint
     spec: ShardSpec
-    program: str
+    program: Callable
     config: Dict[str, Any]
     algorithm: Any
     seed: Optional[int]
@@ -168,8 +115,9 @@ def _worker_loop(task: WorkerTask, transport) -> None:
     pending_error: Optional[Dict[str, Any]] = None
     program = None
     try:
-        builder = PROGRAM_BUILDERS[task.program]
-        program = builder(grid, task.config, task.algorithm, task.seed, task.n_global)
+        program = task.program(
+            grid, task.config, task.algorithm, task.seed, task.n_global
+        )
     except BaseException as exc:
         pending_error = _error_payload(exc, spec.index, 0)
 

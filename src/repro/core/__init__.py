@@ -10,19 +10,10 @@ Module map (paper section -> module):
 * Theorem 1.3 (general graphs)              -> :mod:`repro.core.general_graphs`
 * Remarks 4.4 / 4.5 (unknown Delta / alpha) -> :mod:`repro.core.unknown_params`
 * Observation A.1 (forests)                 -> :mod:`repro.core.trees`
-* Convenience wrappers                      -> :mod:`repro.core.api`
+
+The algorithms run through :class:`repro.RunSpec` / :func:`repro.execute`.
 """
 
-from repro.core.api import (
-    DominatingSetResult,
-    solve_mds,
-    solve_mds_forest,
-    solve_mds_general,
-    solve_mds_randomized,
-    solve_mds_unknown_arboricity,
-    solve_mds_unknown_degree,
-    solve_weighted_mds,
-)
 from repro.core.general_graphs import GeneralGraphMDSAlgorithm
 from repro.core.packing import (
     certified_lower_bound,
@@ -38,7 +29,6 @@ from repro.core.unweighted import UnweightedMDSAlgorithm
 from repro.core.weighted import WeightedMDSAlgorithm
 
 __all__ = [
-    "DominatingSetResult",
     "ForestMDSAlgorithm",
     "GeneralGraphMDSAlgorithm",
     "Lemma46Extension",
@@ -54,13 +44,6 @@ __all__ = [
     "packing_from_outputs",
     "packing_value_sum",
     "partial_iteration_count",
-    "solve_mds",
-    "solve_mds_forest",
-    "solve_mds_general",
-    "solve_mds_randomized",
-    "solve_mds_unknown_arboricity",
-    "solve_mds_unknown_degree",
-    "solve_weighted_mds",
     "theorem11_lambda",
     "theorem12_parameters",
 ]

@@ -22,15 +22,15 @@ engines.
 
 Quickstart::
 
-    from repro import solve_mds
-    from repro.faults import AdversarialEngine, FaultSpec
+    import repro
+    from repro.faults import FaultSpec
     from repro.graphs import random_geometric_graph
 
     graph = random_geometric_graph(150, radius=0.14, seed=1)
-    spec = FaultSpec(crash_fraction=0.2, crash_at=2, recover_after=4,
-                     drop_probability=0.05)
-    engine = AdversarialEngine(spec.materialize(graph, cell_seed=0))
-    result = solve_mds(graph, epsilon=0.2, engine=engine)
+    faults = FaultSpec(crash_fraction=0.2, crash_at=2, recover_after=4,
+                       drop_probability=0.05)
+    result = repro.execute(repro.RunSpec(graph=graph, algorithm="deterministic",
+                                         params={"epsilon": 0.2}, faults=faults))
     print(result.metrics.summary())
 """
 

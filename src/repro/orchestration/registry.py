@@ -32,7 +32,6 @@ import networkx as nx
 
 from repro.analysis.experiments import ExperimentRecord, Solver, sweep
 from repro.analysis.opt import OptEstimate, degree_lower_bound, estimate_opt
-from repro.core.api import solve_with_algorithm
 from repro.faults import FaultSpec
 from repro.run import ALGORITHMS, RunSpec, Session, registry_lookup
 from repro.graphs.arboricity import arboricity_upper_bound
@@ -67,7 +66,6 @@ __all__ = [
     "ScenarioSpec",
     "FAMILY_BUILDERS",
     "WEIGHT_SCHEMES",
-    "EXTRA_SOLVERS",
     "register_scenario",
     "unregister_scenario",
     "get_scenario",
@@ -242,57 +240,7 @@ class GraphSpec:
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _lw_deterministic(graph, alpha=None, seed=0, engine=None):
-    from repro.baselines.lenzen_wattenhofer import LWDeterministicAlgorithm
-
-    return solve_with_algorithm(
-        graph, LWDeterministicAlgorithm(), alpha=alpha, seed=seed, engine=engine
-    )
-
-
-def _lw_randomized(graph, alpha=None, seed=0, engine=None):
-    from repro.baselines.lenzen_wattenhofer import LWRandomizedAlgorithm
-
-    return solve_with_algorithm(
-        graph, LWRandomizedAlgorithm(), alpha=alpha, seed=seed, engine=engine
-    )
-
-
-def _msw_combinatorial(graph, alpha=None, seed=0, engine=None):
-    from repro.baselines.msw import MSWStyleAlgorithm
-
-    return solve_with_algorithm(
-        graph, MSWStyleAlgorithm(), alpha=alpha, seed=seed, engine=engine
-    )
-
-
-def _weighted_lambda_scaled(graph, alpha=None, seed=0, engine=None, epsilon=0.2, lambda_scale=1.0):
-    """Theorem 1.1 with the partial-phase threshold lambda scaled (E10 ablation)."""
-    from repro.core.partial import theorem11_lambda
-    from repro.core.weighted import WeightedMDSAlgorithm
-
-    lambda_value = theorem11_lambda(alpha, epsilon) * lambda_scale
-    algorithm = WeightedMDSAlgorithm(epsilon=epsilon, lambda_value=lambda_value)
-    guarantee = algorithm.approximation_guarantee(alpha) if lambda_scale == 1.0 else None
-    return solve_with_algorithm(
-        graph, algorithm, alpha=alpha, seed=seed, engine=engine, guarantee=guarantee
-    )
-
-
-#: Solvers beyond the paper's public ``solve_*`` entry points: distributed
-#: baselines and ablation variants, normalised to the legacy calling
-#: convention ``fn(graph, alpha=..., seed=..., engine=..., **params)``.
-#: Kept for backward compatibility -- scenario execution resolves names
-#: through :data:`repro.run.ALGORITHMS` (which registers the same four)
-#: and builds :class:`~repro.run.RunSpec`\\ s instead of calling these.
-EXTRA_SOLVERS: Dict[str, Callable[..., object]] = {
-    "lw-deterministic": _lw_deterministic,
-    "lw-randomized": _lw_randomized,
-    "msw-combinatorial": _msw_combinatorial,
-    "weighted-lambda-scaled": _weighted_lambda_scaled,
-}
-
-#: Solver names whose entry point does not take an ``alpha`` argument.
+#: Solver names whose algorithm recipe takes no ``alpha``.
 _ALPHA_FREE_SOLVERS = frozenset({"general", "forest", "unknown-arboricity"})
 
 

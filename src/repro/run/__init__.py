@@ -19,10 +19,10 @@ This package is the single front door for executing the paper's algorithms
 * :func:`~repro.run.session.execute` -- the module-level one-shot, also
   re-exported as :func:`repro.execute`.
 
-Every execution returns the same :class:`DominatingSetResult` the legacy
-``solve_*`` helpers produced -- byte-identical, in fact: the helpers are now
-thin wrappers over this API, and ``tests/run/test_parity_grid.py`` enforces
-the equivalence across the full algorithm x graph-family grid.
+Every execution returns a :class:`DominatingSetResult`; a one-shot
+:func:`execute` and a reused :class:`Session` produce byte-identical
+results, which ``tests/run/test_parity_grid.py`` enforces across the full
+algorithm x graph-family grid.
 
 One-shot::
 

@@ -10,15 +10,12 @@ graph and the run spec, resolves everything the simulator needs --
 * whether nodes globally know ``Delta`` (Remark 4.4 relaxes this),
 * the proven approximation guarantee to attach to the result.
 
-The seven built-in recipes mirror the legacy ``solve_*`` helpers line for
-line, which is what makes those helpers byte-identical thin wrappers over
-the unified API.  The distributed baselines and ablation variants used by
-the scenario registry are registered here too, so a ``RunSpec`` can name
-any of them uniformly.
+The first seven recipes are the paper's algorithms; the distributed
+baselines and ablation variants used by the scenario registry are
+registered here too, so a ``RunSpec`` can name any of them uniformly.
 
 Unknown names raise a ``KeyError`` that lists the available registrations
-(via :func:`registry_lookup`, the same helper behind
-:func:`repro.core.api.resolve_solver`).
+(via :func:`registry_lookup`).
 """
 
 from __future__ import annotations
@@ -43,9 +40,9 @@ def registry_lookup(registry: Mapping[str, Any], name: str, kind: str) -> Any:
     """Look up ``name`` in ``registry``; unknown names raise a ``KeyError``
     that lists every known name.
 
-    Shared by :func:`resolve_algorithm`, :func:`repro.core.api.resolve_solver`
-    and the :class:`~repro.run.spec.RunSpec` validation, so the error reads
-    the same wherever a bad name is given.
+    Shared by :func:`resolve_algorithm`, the :class:`~repro.run.spec.RunSpec`
+    validation and the scenario registry, so the error reads the same
+    wherever a bad name is given.
     """
     try:
         return registry[name]
@@ -84,11 +81,11 @@ def _params(spec, **defaults):
 
 
 # --------------------------------------------------------------------------
-# The paper's seven entry points (mirroring core.api's solve_* helpers)
+# The paper's seven algorithms
 # --------------------------------------------------------------------------
 
 def _deterministic(compiled, spec) -> ResolvedRun:
-    """Theorems 1.1 / 3.1: dispatch on weights like ``solve_mds``."""
+    """Theorems 1.1 / 3.1: unweighted warm-up on unit weights, else weighted."""
     from repro.core.unweighted import UnweightedMDSAlgorithm
     from repro.core.weighted import WeightedMDSAlgorithm
 
@@ -194,10 +191,8 @@ def _weighted_lambda_scaled(compiled, spec) -> ResolvedRun:
     return ResolvedRun(algorithm, alpha, True, guarantee)
 
 
-#: Named algorithm recipes.  The first seven are the paper's public entry
-#: points (the names the legacy ``SOLVERS`` registry used); the rest are the
-#: baselines/ablations previously reachable only through the scenario
-#: registry's ``EXTRA_SOLVERS``.
+#: Named algorithm recipes.  The first seven are the paper's algorithms; the
+#: rest are the distributed baselines and ablation variants.
 ALGORITHMS: Dict[str, AlgorithmRecipe] = {
     "deterministic": _deterministic,
     "weighted": _weighted,

@@ -1,12 +1,10 @@
 """The result type shared by every execution path.
 
-:class:`DominatingSetResult` historically lived in :mod:`repro.core.api`;
-it moved here when the ``solve_*`` helpers became wrappers over the unified
-execution API (``repro.core.api`` re-exports it, so existing imports keep
-working).  :func:`package_result` is the one place a raw simulator
+:func:`package_result` (and :func:`package_result_csr` for streamed CSR
+graphs) is the one place a raw simulator
 :class:`~repro.congest.simulator.RunResult` is turned into a verified,
-user-facing result -- the legacy ``_package`` helper, now with an explicit
-validation policy.
+user-facing :class:`DominatingSetResult`, under an explicit validation
+policy.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Compile-once, run-many execution sessions.
 
-The legacy entry points rebuilt everything per call: the degeneracy bound,
+A one-shot execution rebuilds everything per call: the degeneracy bound,
 the :class:`~repro.congest.network.Network` (one ``NodeContext`` per node),
 the engines' CSR adjacency layout, the payload-bit memo and -- under a
 fault model -- the fault session's per-edge arrays.  A :class:`Session`
@@ -19,7 +19,8 @@ run that shares the graph, whatever the seed, algorithm or fault model:
   network's cached :class:`~repro.congest.network.NetworkLayout` (CSR
   arrays, degree vector, payload-bit memo), so none of it is rebuilt;
 * **fault plans** -- a :class:`~repro.faults.spec.FaultSpec` (or named
-  model) is materialised once per ``(regime, seed)`` and cached.
+  model) is materialised once per ``(regime, seed)``; the most recent
+  plans are cached.
 
 ``Session.run_many`` streams results as they complete and can fan the batch
 out across worker processes (reusing the orchestration runner's pool
@@ -31,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
+from collections import OrderedDict
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -45,6 +47,9 @@ from repro.run.result import DominatingSetResult, package_result, package_result
 from repro.run.spec import RunSpec
 
 __all__ = ["CompiledGraph", "Session", "execute", "fault_model_label"]
+
+#: How many materialised fault plans one compiled graph keeps.
+_PLAN_CACHE_SIZE = 8
 
 
 def fault_model_label(faults: Any) -> Optional[str]:
@@ -89,15 +94,14 @@ class CompiledGraph:
         # object, so an identity hit is always a true hit.
         self.source = source
         self.weights_source = weights_source
-        # Always the degeneracy bound, never a caller-pinned alpha: the
-        # legacy helpers certify alpha themselves when none is given, and an
+        # Always the degeneracy bound, never a caller-pinned alpha: an
         # explicitly pinned instance alpha reaches runs via RunSpec.alpha.
         self._default_alpha: Optional[int] = None
         self._is_unweighted: Optional[bool] = None
         self._max_degree: Optional[int] = None
         self._network: Optional[Network] = None
         self._network_key: Optional[Tuple] = None
-        self._plans: Dict[Tuple, Any] = {}
+        self._plans: "OrderedDict[Tuple, Any]" = OrderedDict()
 
     # -- canonicalisation (each computed at most once) --------------------
 
@@ -187,7 +191,12 @@ class CompiledGraph:
     # -- fault plans -------------------------------------------------------
 
     def fault_plan(self, spec: RunSpec):
-        """Resolve ``spec.faults`` to a concrete plan (memoized per seed)."""
+        """Resolve ``spec.faults`` to a concrete plan.
+
+        The few most recently used ``(faults, seed)`` plans are memoized, so a repeated pair returns the identical plan
+        object while a long-lived session (``repro serve``) seeing fresh
+        seeds keeps a bounded number of plans alive.
+        """
         faults = spec.faults
         if faults is None:
             return None
@@ -208,6 +217,10 @@ class CompiledGraph:
         if cached is None:
             cached = faults.materialize(self.graph, seed)
             self._plans[key] = cached
+            if len(self._plans) > _PLAN_CACHE_SIZE:
+                self._plans.popitem(last=False)
+        else:
+            self._plans.move_to_end(key)
         return cached
 
 
@@ -218,17 +231,17 @@ class Session:
     ----------
     engine:
         Default engine for specs that leave ``engine=None``; ``None`` (the
-        default) falls through to the process-wide default, exactly like
-        the legacy helpers.
+        default) falls through to the process-wide default (CSR inputs to
+        the kernel tier).
     tracer:
         Optional :class:`repro.obs.trace.Tracer` attached to every run of
         this session (overridable per call via ``run(spec, tracer=...)``).
         With no tracer (or a disabled one) every execution takes the exact
         untraced code path -- the zero-overhead-when-off contract gated by
-        the E17 benchmark; with a tracer, runs are routed through the
-        hooked round loop under an empty fault plan (byte-identical by the
-        zero-fault parity guarantee) so round timestamps can be captured on
-        all three engines.
+        the E17 benchmark; with a tracer, network runs are routed through
+        the hooked round loop under an empty fault plan (byte-identical by
+        the zero-fault parity guarantee) so round timestamps can be
+        captured on the reference, batched and kernel engines.
 
     Usable as a context manager (``with Session() as session: ...``); exit
     drops the compiled-state cache.
@@ -327,311 +340,188 @@ class Session:
         """Execute one spec, reusing every piece of compiled state it allows.
 
         ``tracer`` overrides the session-level tracer for this run only.
-        With no (enabled) tracer, execution is exactly the untraced path.
+        With an enabled tracer, live round timestamps are captured through
+        the fault hooks (fault-free network runs are wrapped in an *empty*
+        :class:`~repro.faults.FaultPlan`, which the fault test-suite holds
+        byte-identical to the plain path) and the run's span tree is
+        emitted afterwards.  Fault-free CSR and sharded runs keep their
+        hook-free path; their round records carry ``t_start_s`` null.
         """
         active = tracer if tracer is not None else self.tracer
         if active is not None and not getattr(active, "enabled", True):
             active = None
+        timer = None
         if active is not None:
-            return self._run_traced(spec, active)
-        compiled = self.compile(spec)
-        resolved = self._resolve(compiled, spec)
-        csr = _as_csr(compiled.graph)
-        if csr is not None:
-            raw = self._simulate_csr(compiled, csr, resolved, spec)
-            return self._package_csr(csr, raw, resolved, spec)
-        raw = self._simulate_network(compiled, resolved, spec)
-        return self._package_network(compiled, raw, resolved, spec)
+            from repro.obs.trace import RoundTimer
 
-    def _run_traced(self, spec: RunSpec, tracer: Any) -> DominatingSetResult:
-        """The traced twin of :meth:`run`: same simulate/package calls, with
-        phase timing, live round timestamps, and a post-run span emission.
-
-        Fault-free network runs are wrapped in an *empty*
-        :class:`~repro.faults.FaultPlan` (``AdversarialEngine(None, ...)``)
-        so the hooked round loop -- whose ``begin_round`` the
-        :class:`~repro.obs.trace.TracingHooks` proxy timestamps -- executes
-        on every engine; the fault test-suite holds that wrapping
-        byte-identical to the plain path.  Fault-free CSR runs keep the
-        closed-form kernel path untouched (no per-round hooks at 10^5-node
-        scale); their round records are emitted from the run's metrics with
-        ``t_start_s`` null.
-        """
-        from repro.obs.trace import RoundTimer, emit_run_trace
-
+            timer = RoundTimer()
         run_started = time.perf_counter()
         compiled = self.compile(spec)
         resolved = self._resolve(compiled, spec)
         compile_done = time.perf_counter()
-        timer = RoundTimer()
         csr = _as_csr(compiled.graph)
-        if csr is not None:
-            raw = self._simulate_csr(
-                compiled, csr, resolved, spec, hook_wrapper=timer.wrap
-            )
-        else:
-            raw = self._simulate_network(
-                compiled, resolved, spec, hook_wrapper=timer.wrap
-            )
-        execute_done = time.perf_counter()
-        if csr is not None:
-            result = self._package_csr(csr, raw, resolved, spec)
-        else:
-            result = self._package_network(compiled, raw, resolved, spec)
-        package_done = time.perf_counter()
-        n = csr.n if csr is not None else compiled.graph.number_of_nodes()
-        emit_run_trace(
-            tracer,
-            algorithm=spec.algorithm_label,
-            n=n,
-            seed=spec.seed,
-            result=result,
-            phase_seconds={
-                "compile": compile_done - run_started,
-                "execute": execute_done - compile_done,
-                "package": package_done - execute_done,
-            },
-            wall_s=package_done - run_started,
-            round_starts=timer.relative_starts(run_started),
-            fault_model=fault_model_label(spec.faults),
+        raw = self._simulate(
+            compiled, csr, resolved, spec,
+            hook_wrapper=None if timer is None else timer.wrap,
         )
+        execute_done = time.perf_counter()
+        validate = spec.validate == "full"
+        if csr is not None:
+            result = package_result_csr(
+                csr, raw, guarantee=resolved.guarantee, validate=validate
+            )
+        else:
+            result = package_result(
+                compiled.graph, raw, guarantee=resolved.guarantee, validate=validate
+            )
+        if active is not None:
+            from repro.obs.trace import emit_run_trace
+
+            package_done = time.perf_counter()
+            emit_run_trace(
+                active,
+                algorithm=spec.algorithm_label,
+                n=csr.n if csr is not None else compiled.graph.number_of_nodes(),
+                seed=spec.seed,
+                result=result,
+                phase_seconds={
+                    "compile": compile_done - run_started,
+                    "execute": execute_done - compile_done,
+                    "package": package_done - execute_done,
+                },
+                wall_s=package_done - run_started,
+                round_starts=timer.relative_starts(run_started),
+                fault_model=fault_model_label(spec.faults),
+            )
         return result
 
-    def _simulate_network(
+    def _simulate(
         self,
         compiled: CompiledGraph,
+        csr: Optional[Any],
         resolved: ResolvedRun,
         spec: RunSpec,
         hook_wrapper: Optional[Any] = None,
     ):
-        network = compiled.network(
-            alpha=resolved.alpha,
-            config=spec.config,
-            knows_max_degree=resolved.knows_max_degree,
-            seed=spec.seed,
-        )
-        engine_spec = spec.engine if spec.engine is not None else self.engine
-        sharded = self._resolve_sharded(engine_spec, spec)
-        if sharded is not None:
-            engine_spec = sharded
-        plan = compiled.fault_plan(spec)
-        if plan is not None or (hook_wrapper is not None and sharded is None):
-            # Fault-free sharded runs stay unwrapped: per-round hooks cannot
-            # cross the process boundary, so traced runs emit their round
-            # records from the metrics (like the fault-free CSR path), and
-            # faulted sharded cells surface EngineCapabilityError below.
-            from repro.faults import AdversarialEngine
+        """Execute one resolved spec; returns the raw :class:`RunResult`.
 
-            engine_spec = AdversarialEngine(
-                plan, inner=engine_spec, hook_wrapper=hook_wrapper
-            )
-        simulator = Simulator(
-            bandwidth_words=spec.bandwidth_words,
-            max_rounds=spec.max_rounds,
-            strict=spec.strict,
-            engine=engine_spec,
+        Dict-based graphs (``csr is None``) run through the
+        :class:`Simulator` on the compiled network.  Streamed CSR graphs
+        never build a :class:`Network` (nor a
+        per-node context object): the kernel, or the sharded coordinator,
+        runs straight over the CSR arrays, which is what makes 10^5-node
+        instances tractable.  Fault plans on CSR graphs compile straight
+        against the arrays (:meth:`~repro.faults.session.FaultSession.for_csr`),
+        byte-identical to a reference run on ``to_networkx()`` under the
+        same plan.
+        """
+        from repro.congest.kernels import check_capability
+
+        engine_spec = spec.engine if spec.engine is not None else self.engine
+        if engine_spec is None and csr is not None:
+            # With nothing explicitly selected, a CSR input resolves straight
+            # to the kernel tier -- the single-process engine that can run
+            # it -- instead of tripping over the process-wide default.
+            engine_spec = "kernel"
+        engine = self._resolve_engine(engine_spec, spec)
+        sharded = engine.name == "sharded"
+        check_capability(
+            resolved.algorithm,
+            engine.name,
+            csr=csr is not None,
+            label=spec.algorithm_label,
+            fault_model=fault_model_label(spec.faults),
         )
-        return simulator.run(network, resolved.algorithm)
+        plan = compiled.fault_plan(spec)
+        if csr is None:
+            if plan is not None or (hook_wrapper is not None and not sharded):
+                # Fault-free sharded runs stay unwrapped: per-round hooks
+                # cannot cross the process boundary.
+                from repro.faults import AdversarialEngine
+
+                engine = AdversarialEngine(
+                    plan, inner=engine, hook_wrapper=hook_wrapper
+                )
+            network = compiled.network(
+                alpha=resolved.alpha,
+                config=spec.config,
+                knows_max_degree=resolved.knows_max_degree,
+                seed=spec.seed,
+            )
+            simulator = Simulator(
+                bandwidth_words=spec.bandwidth_words,
+                max_rounds=spec.max_rounds,
+                strict=spec.strict,
+                engine=engine,
+            )
+            return simulator.run(network, resolved.algorithm)
+
+        from repro.congest.kernels.grid import grid_from_csr
+        from repro.congest.network import shared_config
+        from repro.congest.simulator import RunResult, resolve_budget_and_limit
+
+        algorithm = resolved.algorithm
+        config = shared_config(
+            csr.n, csr.max_degree, resolved.alpha, spec.config,
+            resolved.knows_max_degree,
+        )
+        budget, limit = resolve_budget_and_limit(
+            algorithm, csr, spec.bandwidth_words, spec.max_rounds
+        )
+        grid = grid_from_csr(csr)
+        if sharded:
+            from repro.congest.sharded.engine import run_sharded_program
+
+            outputs, metrics = run_sharded_program(
+                grid, config, algorithm,
+                budget=budget, limit=limit, strict=spec.strict,
+                seed=spec.seed, shards=engine.shards,
+                start_method=engine.start_method,
+                barrier_timeout=engine.barrier_timeout,
+            )
+        else:
+            from repro.congest.kernels import kernel_for
+
+            hooks = None
+            if plan is not None:
+                from repro.faults.session import FaultSession
+
+                hooks = FaultSession.for_csr(plan, csr)
+                if hook_wrapper is not None:
+                    hooks = hook_wrapper(hooks)
+            outputs, metrics = kernel_for(algorithm)(
+                grid, config, algorithm,
+                budget=budget, limit=limit, strict=spec.strict,
+                seed=spec.seed, hooks=hooks,
+            )
+        metrics.engine_used = engine.name
+        return RunResult(
+            algorithm_name=algorithm.name, outputs=outputs, metrics=metrics
+        )
 
     @staticmethod
-    def _resolve_sharded(engine_spec: Any, spec: RunSpec):
-        """A :class:`ShardedEngine` instance when the run selects the sharded
-        tier (folding in ``spec.shards``), else ``None``.
+    def _resolve_engine(engine_spec: Any, spec: RunSpec):
+        """Resolve ``engine_spec`` to an engine, folding in ``spec.shards``.
 
-        ``spec.shards`` with any other resolved engine is an error -- the
-        knob only exists on the sharded tier.
+        ``spec.shards`` with anything but the sharded tier is an error --
+        the knob only exists there.
         """
-        selected = (
-            engine_spec == "sharded"
-            or getattr(engine_spec, "name", None) == "sharded"
-        )
-        if not selected and spec.shards is None:
-            return None
-        from repro.congest.engine import get_engine
-        from repro.congest.sharded.engine import ShardedEngine
-
         engine = get_engine(engine_spec)
-        if not isinstance(engine, ShardedEngine):
-            raise ValueError(
-                f"shards requires engine='sharded', got engine={engine.name!r}"
-            )
+        if engine.name != "sharded":
+            if spec.shards is not None:
+                raise ValueError(
+                    f"shards requires engine='sharded', got engine={engine.name!r}"
+                )
+            return engine
         if spec.shards is not None and engine.shards != spec.shards:
+            from repro.congest.sharded.engine import ShardedEngine
+
             engine = ShardedEngine(
                 shards=spec.shards,
                 start_method=engine.start_method,
                 barrier_timeout=engine.barrier_timeout,
             )
         return engine
-
-    def _package_network(
-        self, compiled: CompiledGraph, raw, resolved: ResolvedRun, spec: RunSpec
-    ) -> DominatingSetResult:
-        return package_result(
-            compiled.graph,
-            raw,
-            guarantee=resolved.guarantee,
-            validate=spec.validate == "full",
-        )
-
-    def _simulate_csr(
-        self,
-        compiled: CompiledGraph,
-        csr,
-        resolved: ResolvedRun,
-        spec: RunSpec,
-        hook_wrapper: Optional[Any] = None,
-    ):
-        """Execute a spec on a streamed CSR graph through the kernel tier.
-
-        No :class:`Network` (and no per-node context objects) is ever
-        built: the kernel runs directly over the CSR arrays, which is what
-        makes 10^5-node instances tractable.  Fault plans run here too: the
-        plan compiles straight against the CSR arrays
-        (:meth:`~repro.faults.session.FaultSession.for_csr`) and the kernels
-        apply it, byte-identical to a reference run on ``to_networkx()``
-        under the same plan.  Only algorithms *without* a kernel need the
-        dict-based path (``CSRGraph.to_networkx()``).
-        """
-        from repro.congest.engine import get_engine
-        from repro.congest.errors import EngineCapabilityError
-        from repro.congest.kernels import kernel_for
-        from repro.congest.kernels.engine import KernelEngine
-        from repro.congest.kernels.grid import grid_from_csr
-        from repro.congest.network import shared_config
-        from repro.congest.simulator import RunResult, resolve_budget_and_limit
-
-        engine_spec = spec.engine if spec.engine is not None else self.engine
-        # With nothing explicitly selected, a CSR input resolves straight to
-        # the kernel tier -- the only engine that can execute it -- instead
-        # of tripping over the process-wide default.
-        engine = get_engine("kernel" if engine_spec is None else engine_spec)
-        fault_label = fault_model_label(spec.faults)
-        if engine.name == "sharded" or spec.shards is not None:
-            sharded = self._resolve_sharded(engine, spec)
-            return self._simulate_csr_sharded(
-                compiled, csr, resolved, spec, sharded, fault_label
-            )
-        if not isinstance(engine, KernelEngine):
-            raise EngineCapabilityError(
-                f"CSRGraph inputs run on engine='kernel' or engine='sharded' only "
-                f"(got {engine.name!r}); use CSRGraph.to_networkx() for the "
-                "reference/batched engines",
-                algorithm=spec.algorithm_label,
-                engine=engine.name,
-                fault_model=fault_label,
-            )
-        algorithm = resolved.algorithm
-        plan = compiled.fault_plan(spec)
-        kernel = kernel_for(algorithm)
-        if kernel is None:
-            if plan is not None:
-                raise EngineCapabilityError(
-                    f"unsupported capability cell: algorithm "
-                    f"{spec.algorithm_label!r} on engine='kernel' with faults -- "
-                    "the algorithm has no kernel, and CSRGraph runs cannot fall "
-                    "back to the per-node engines; use CSRGraph.to_networkx() "
-                    "with engine='batched'",
-                    algorithm=spec.algorithm_label,
-                    engine="kernel",
-                    fault_model=fault_label,
-                )
-            raise EngineCapabilityError(
-                f"algorithm {spec.algorithm_label!r} has no kernel implementation; "
-                "CSRGraph runs cannot fall back to the per-node engines -- use "
-                "CSRGraph.to_networkx() instead",
-                algorithm=spec.algorithm_label,
-                engine="kernel",
-            )
-        hooks = None
-        if plan is not None:
-            from repro.faults.session import FaultSession
-
-            hooks = FaultSession.for_csr(plan, csr)
-            if hook_wrapper is not None:
-                # Faulted CSR runs already pay the hooked driver; wrapping
-                # the session adds round timestamps to the trace.  Unfaulted
-                # CSR runs keep hooks=None -- the closed-form kernel path --
-                # so tracing never distorts the 10^5-node scale target.
-                hooks = hook_wrapper(hooks)
-        config = shared_config(
-            csr.n, csr.max_degree, resolved.alpha, spec.config,
-            resolved.knows_max_degree,
-        )
-        budget, limit = resolve_budget_and_limit(
-            algorithm, csr, spec.bandwidth_words, spec.max_rounds
-        )
-        outputs, metrics = kernel(
-            grid_from_csr(csr), config, algorithm,
-            budget=budget, limit=limit, strict=spec.strict,
-            seed=spec.seed, hooks=hooks,
-        )
-        metrics.engine_used = engine.name
-        return RunResult(
-            algorithm_name=algorithm.name, outputs=outputs, metrics=metrics
-        )
-
-    def _simulate_csr_sharded(
-        self, compiled, csr, resolved, spec: RunSpec, engine, fault_label
-    ):
-        """Execute a CSR spec across shard worker processes.
-
-        Same capability contract as the engine itself: fault plans and
-        unkerneled algorithms raise :class:`EngineCapabilityError` so sweeps
-        surface the cell as a structured skip.
-        """
-        from repro.congest.errors import EngineCapabilityError
-        from repro.congest.kernels.grid import grid_from_csr
-        from repro.congest.network import shared_config
-        from repro.congest.sharded.engine import (
-            has_sharded_program,
-            run_sharded_program,
-        )
-        from repro.congest.simulator import RunResult, resolve_budget_and_limit
-
-        if compiled.fault_plan(spec) is not None:
-            raise EngineCapabilityError(
-                "unsupported capability cell: fault plans do not run on "
-                "engine='sharded'; run faulted CSR cells on engine='kernel'",
-                algorithm=spec.algorithm_label,
-                engine="sharded",
-                fault_model=fault_label,
-            )
-        algorithm = resolved.algorithm
-        if not has_sharded_program(algorithm):
-            raise EngineCapabilityError(
-                f"algorithm {spec.algorithm_label!r} has no sharded program; "
-                "engine='sharded' supports exactly the kerneled algorithms",
-                algorithm=spec.algorithm_label,
-                engine="sharded",
-            )
-        config = shared_config(
-            csr.n, csr.max_degree, resolved.alpha, spec.config,
-            resolved.knows_max_degree,
-        )
-        budget, limit = resolve_budget_and_limit(
-            algorithm, csr, spec.bandwidth_words, spec.max_rounds
-        )
-        outputs, metrics = run_sharded_program(
-            grid_from_csr(csr), config, algorithm,
-            budget=budget, limit=limit, strict=spec.strict,
-            seed=spec.seed, shards=engine.shards,
-            start_method=engine.start_method,
-            barrier_timeout=engine.barrier_timeout,
-            tracer=None,
-        )
-        metrics.engine_used = engine.name
-        return RunResult(
-            algorithm_name=algorithm.name, outputs=outputs, metrics=metrics
-        )
-
-    def _package_csr(
-        self, csr, raw, resolved: ResolvedRun, spec: RunSpec
-    ) -> DominatingSetResult:
-        return package_result_csr(
-            csr, raw,
-            guarantee=resolved.guarantee,
-            validate=spec.validate == "full",
-        )
 
     def run_many(
         self,
@@ -729,8 +619,7 @@ def _run_chunk(job) -> List[DominatingSetResult]:
 def execute(spec: RunSpec) -> DominatingSetResult:
     """One-shot execution of a :class:`RunSpec` (a throwaway :class:`Session`).
 
-    This is what the legacy ``solve_*`` helpers call; for repeated runs on
-    the same graph, create a :class:`Session` and keep it -- that is the
-    whole point of the compiled API.
+    For repeated runs on the same graph, create a :class:`Session` and
+    keep it -- that is the whole point of the compiled API.
     """
     return Session().run(spec)

@@ -1,25 +1,27 @@
 """Byte-parity smoke for the unified execution API.
 
-``python -m repro.run.smoke`` exercises :func:`repro.execute` and
-:meth:`repro.Session.run_many` on **both** engines, with and without a
-fault model, and byte-compares every result against the legacy ``solve_*``
-path (which the CI pipeline runs as a dedicated step).  It is deliberately
-small -- a few seconds -- because its job is wiring, not coverage: the
-exhaustive algorithm x family grids live in ``tests/run/`` and
-``tests/congest/``.
+``python -m repro.run.smoke`` byte-compares one-shot :func:`repro.execute`
+runs against :meth:`repro.Session.run_many` batches fanned out over two
+worker processes, on the reference and batched engines, with and without a
+fault model.  On a streamed :class:`~repro.graphs.large_scale.CSRGraph` it
+does the same on the kernel tier (fault-free and under ``lossy10``) and
+holds a two-shard ``engine="sharded"`` batch to one-shot kernel runs.  It
+is deliberately small -- a few seconds -- because its job is wiring, not
+coverage: the exhaustive algorithm x family grids live in ``tests/run/``
+and ``tests/congest/``.
 
 Exit code 0 when every comparison matches, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
-import warnings
 from typing import Optional, Sequence
 
 import repro
-from repro.faults import AdversarialEngine, fault_model
 from repro.graphs.generators import forest_union_graph
+from repro.graphs.large_scale import csr_from_networkx
 from repro.graphs.weights import assign_random_weights
 from repro.run.result import result_bytes
 
@@ -28,80 +30,63 @@ __all__ = ["main"]
 SEEDS = (0, 1, 2, 3)
 
 
-def _check(label: str, new_results, legacy_results, failures: list) -> None:
-    new_blobs = [result_bytes(result) for result in new_results]
-    legacy_blobs = [result_bytes(result) for result in legacy_results]
-    status = "OK" if new_blobs == legacy_blobs else "MISMATCH"
-    print(f"  {label:<44} {status}")
-    if new_blobs != legacy_blobs:
+def _check(label: str, batch, one_shot, failures: list) -> None:
+    same = [result_bytes(result) for result in batch] == [
+        result_bytes(result) for result in one_shot
+    ]
+    print(f"  {label:<64} {'OK' if same else 'MISMATCH'}")
+    if not same:
         failures.append(label)
+
+
+def _compare(label: str, base: repro.RunSpec, failures: list, reference=None) -> None:
+    """``run_many(workers=2)`` over :data:`SEEDS` vs one ``execute`` per seed
+    (of ``reference`` when given, else of ``base`` itself)."""
+    with repro.Session() as session:
+        batch = list(session.run_many(base=base, seeds=SEEDS, workers=2))
+    expected = base if reference is None else reference
+    one_shot = [repro.execute(dataclasses.replace(expected, seed=seed)) for seed in SEEDS]
+    _check(f"run_many x{len(SEEDS)} (2 workers) vs execute, {label}", batch, one_shot, failures)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     del argv
     graph = forest_union_graph(n=120, alpha=3, seed=5)
     assign_random_weights(graph, 1, 25, seed=7)
-    plan = fault_model("lossy10").materialize(graph, 0)
-
     failures: list = []
-    with warnings.catch_warnings():
-        # The legacy helpers warn about their own deprecation; calling them
-        # is this smoke's entire purpose.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for engine in ("reference", "batched"):
-            print(f"engine={engine}:")
 
-            spec = repro.RunSpec(
-                graph=graph,
-                algorithm="weighted",
-                params={"epsilon": 0.2},
-                alpha=3,
-                seed=1,
-                engine=engine,
-            )
-            _check(
-                "execute vs solve_weighted_mds",
-                [repro.execute(spec)],
-                [repro.solve_weighted_mds(graph, alpha=3, epsilon=0.2, seed=1, engine=engine)],
-                failures,
-            )
+    for engine in ("reference", "batched"):
+        print(f"engine={engine}:")
+        base = repro.RunSpec(
+            graph=graph, algorithm="randomized", params={"t": 2}, alpha=3, engine=engine
+        )
+        _compare("randomized", base, failures)
+        faulted = repro.RunSpec(
+            graph=graph, algorithm="deterministic", params={"epsilon": 0.2},
+            alpha=3, engine=engine, faults="lossy10",
+        )
+        _compare("deterministic + lossy10", faulted, failures)
 
-            with repro.Session() as session:
-                base = repro.RunSpec(
-                    graph=graph, algorithm="randomized", params={"t": 2},
-                    alpha=3, engine=engine,
-                )
-                _check(
-                    f"run_many x{len(SEEDS)} vs solve_mds_randomized loop",
-                    list(session.run_many(base=base, seeds=SEEDS)),
-                    [
-                        repro.solve_mds_randomized(graph, alpha=3, t=2, seed=seed, engine=engine)
-                        for seed in SEEDS
-                    ],
-                    failures,
-                )
-
-                faulted = repro.RunSpec(
-                    graph=graph, algorithm="deterministic", params={"epsilon": 0.2},
-                    alpha=3, engine=engine, faults=plan,
-                )
-                _check(
-                    f"run_many x{len(SEEDS)} under {plan.describe()!r} vs legacy",
-                    list(session.run_many(base=faulted, seeds=SEEDS)),
-                    [
-                        repro.solve_mds(
-                            graph, alpha=3, epsilon=0.2, seed=seed,
-                            engine=AdversarialEngine(plan, inner=engine),
-                        )
-                        for seed in SEEDS
-                    ],
-                    failures,
-                )
+    print("CSRGraph:")
+    csr = csr_from_networkx(graph)
+    kernel = repro.RunSpec(
+        graph=csr, algorithm="weighted", params={"epsilon": 0.2}, alpha=3, engine="kernel"
+    )
+    _compare("kernel", kernel, failures)
+    _compare(
+        "kernel + lossy10", dataclasses.replace(kernel, faults="lossy10"), failures
+    )
+    _compare(
+        "sharded (2 shards) vs kernel",
+        dataclasses.replace(kernel, engine="sharded", shards=2),
+        failures,
+        reference=kernel,
+    )
 
     if failures:
         print(f"\n{len(failures)} parity failure(s): {failures}", file=sys.stderr)
         return 1
-    print("\nall new-API executions byte-identical to the legacy solve_* path")
+    print("\nall batched, sharded and one-shot executions byte-identical")
     return 0
 
 

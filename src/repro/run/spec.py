@@ -52,7 +52,7 @@ class RunSpec:
         A registered algorithm name (see
         :func:`repro.run.algorithms.available_algorithms`) or a
         :class:`~repro.congest.algorithm.SynchronousAlgorithm` instance for
-        ad-hoc runs (the old ``solve_with_algorithm`` escape hatch).
+        ad-hoc runs.
     params:
         Keyword parameters for the named algorithm's recipe (``epsilon``,
         ``t``, ``k``, ...).  Ignored for instance algorithms, which are
@@ -127,7 +127,7 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         if isinstance(self.algorithm, str):
-            # Fail fast with the listing KeyError shared with resolve_solver.
+            # Fail fast with the shared listing KeyError.
             registry_lookup(ALGORITHMS, self.algorithm, "algorithm")
         elif not isinstance(self.algorithm, SynchronousAlgorithm):
             raise TypeError(

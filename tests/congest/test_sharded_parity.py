@@ -167,13 +167,24 @@ def test_faulted_cells_raise_structured_capability_error():
     graph, alpha = _build("tree", size=20, seed=3, weighted=False)
     with pytest.raises(EngineCapabilityError) as excinfo:
         _run(graph, "deterministic", alpha, 0, "sharded", faults="crash15")
-    assert excinfo.value.cell == ("dory-ghaffari-ilchi-unweighted", "sharded", "faulted")
+    assert excinfo.value.cell == ("deterministic", "sharded", "crash15")
 
     csr = large_scale.large_preferential_attachment(50, attachment=3, seed=1)
     with pytest.raises(EngineCapabilityError) as excinfo:
         _run(csr, "forest", None, 0, "sharded", faults="crash15")
-    assert excinfo.value.engine == "sharded"
-    assert excinfo.value.fault_model is not None
+    assert excinfo.value.cell == ("forest", "sharded", "crash15")
+
+    # Direct simulator users have no spec: the cell names the algorithm
+    # instance and a generic fault label.
+    from repro.congest.network import Network
+    from repro.congest.simulator import Simulator
+    from repro.core.unweighted import UnweightedMDSAlgorithm
+    from repro.faults import AdversarialEngine
+
+    simulator = Simulator(engine=AdversarialEngine(None, inner="sharded"))
+    with pytest.raises(EngineCapabilityError) as excinfo:
+        simulator.run(Network(graph, alpha=alpha), UnweightedMDSAlgorithm())
+    assert excinfo.value.cell == ("dory-ghaffari-ilchi-unweighted", "sharded", "faulted")
 
 
 def test_unkerneled_algorithm_raises_capability_error():
@@ -201,16 +212,21 @@ def test_worker_crash_surfaces_as_clean_error(monkeypatch):
     """A SIGKILLed worker breaks the barrier; the run errors, never hangs."""
     if "fork" not in __import__("multiprocessing").get_all_start_methods():
         pytest.skip("crash injection relies on fork inheriting the patch")
+    from repro.congest import kernels
+    from repro.congest.kernels.forest import forest_kernel
     from repro.congest.kernels.grid import grid_from_csr
     from repro.congest.sharded import engine as sharded_engine
-    from repro.congest.sharded import worker as sharded_worker
     from repro.congest.sharded.shmem import TransportError
     from repro.core.trees import ForestMDSAlgorithm
 
-    def _crash_builder(grid, config, algorithm, seed, n_global):
+    def _crash_program(grid, config, algorithm, seed, n_global):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setitem(sharded_worker.PROGRAM_BUILDERS, "forest", _crash_builder)
+    monkeypatch.setitem(
+        kernels.KERNELS,
+        "repro.core.trees.ForestMDSAlgorithm",
+        (forest_kernel, _crash_program),
+    )
     csr = large_scale.large_preferential_attachment(60, attachment=3, seed=2)
     grid = grid_from_csr(csr)
     with pytest.raises(TransportError, match="died mid-run|transport broke"):

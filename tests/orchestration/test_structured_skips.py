@@ -61,21 +61,33 @@ class TestCellKeyPlumbing:
         error = EngineCapabilityError("bare message")
         assert error.cell == (None, None, None)
 
-    def test_session_attributes_csr_capability_cells(self):
+    @pytest.mark.parametrize(
+        "graph_kind, algorithm, engine, faults",
+        [
+            ("networkx", "deterministic", "sharded", "lossy10"),
+            ("csr", "deterministic", "sharded", "lossy10"),
+            ("networkx", "randomized", "sharded", None),
+            ("csr", "randomized", "sharded", None),
+            ("csr", "deterministic", "batched", "crash15"),
+        ],
+    )
+    def test_session_attributes_csr_capability_cells(
+        self, graph_kind, algorithm, engine, faults
+    ):
+        # The same capability cell gets the same spec-level key whatever
+        # the graph type.
         import networkx as nx
 
         from repro.graphs.large_scale import csr_from_networkx
         from repro.run import RunSpec, Session
 
-        spec = RunSpec(
-            graph=csr_from_networkx(nx.path_graph(4)),
-            algorithm="deterministic",
-            engine="batched",
-            faults="crash15",
-        )
+        graph = nx.path_graph(4)
+        if graph_kind == "csr":
+            graph = csr_from_networkx(graph)
+        spec = RunSpec(graph=graph, algorithm=algorithm, engine=engine, faults=faults)
         with pytest.raises(EngineCapabilityError) as caught:
             Session().run(spec)
-        assert caught.value.cell == ("deterministic", "batched", "crash15")
+        assert caught.value.cell == (algorithm, engine, faults)
 
 
 def _skip_result(cell_key, scenario="s", engine="kernel") -> CellResult:

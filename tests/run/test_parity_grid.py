@@ -1,24 +1,21 @@
-"""Legacy ``solve_*`` vs ``RunSpec`` path: byte-identical, grid-enforced.
+"""One-shot ``execute`` vs reused ``Session``: byte-identical, grid-enforced.
 
-Three execution paths must agree bit for bit for every (solver, family)
-cell: the legacy helper, the one-shot :func:`repro.execute`, and a *reused*
-compiled :class:`repro.Session` (each session runs its spec twice and both
-runs must match, proving network reuse -- rebind + reseed + shared layout --
-is observationally invisible).
+Two execution paths must agree bit for bit for every (algorithm, family)
+cell: the one-shot :func:`repro.execute` and a *reused* compiled
+:class:`repro.Session` (each session runs its spec twice and both runs must
+match, proving network reuse -- rebind + reseed + shared layout -- is
+observationally invisible).
 
-The default grid covers every one of the seven public solvers on four
-seeded families under both engines; the full 7-solver x 8-family grid runs
-under ``pytest -m slow``.
+The default grid covers every one of the seven public algorithms on four
+seeded families under both engines; the full 7-algorithm x 8-family grid
+runs under ``pytest -m slow``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import networkx as nx
 import pytest
 
-import repro
 from repro import RunSpec, Session, execute
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -48,49 +45,16 @@ SLOW_FAMILIES = {
     "gnp": (lambda size, seed: nx.gnp_random_graph(size, 0.15, seed=seed), None),
 }
 
-#: The seven public solvers:
-#: ``name -> (legacy helper call, RunSpec fields, weighted?, uses alpha?)``.
+#: The seven public algorithms:
+#: ``name -> (RunSpec fields, weighted?, uses alpha?)``.
 SOLVERS = {
-    "deterministic": (
-        lambda g, a, s, e: repro.solve_mds(g, alpha=a, epsilon=0.2, seed=s, engine=e),
-        {"algorithm": "deterministic", "params": {"epsilon": 0.2}},
-        True,
-        True,
-    ),
-    "weighted": (
-        lambda g, a, s, e: repro.solve_weighted_mds(g, alpha=a, epsilon=0.2, seed=s, engine=e),
-        {"algorithm": "weighted", "params": {"epsilon": 0.2}},
-        True,
-        True,
-    ),
-    "randomized": (
-        lambda g, a, s, e: repro.solve_mds_randomized(g, alpha=a, t=2, seed=s, engine=e),
-        {"algorithm": "randomized", "params": {"t": 2}},
-        False,
-        True,
-    ),
-    "general": (
-        lambda g, a, s, e: repro.solve_mds_general(g, k=2, seed=s, engine=e),
-        {"algorithm": "general", "params": {"k": 2}},
-        False,
-        False,
-    ),
-    "forest": (
-        lambda g, a, s, e: repro.solve_mds_forest(g, seed=s, engine=e),
-        {"algorithm": "forest"},
-        False,
-        False,
-    ),
-    "unknown-degree": (
-        lambda g, a, s, e: repro.solve_mds_unknown_degree(
-            g, alpha=a, epsilon=0.2, seed=s, engine=e
-        ),
-        {"algorithm": "unknown-degree", "params": {"epsilon": 0.2}},
-        True,
-        True,
-    ),
+    "deterministic": ({"algorithm": "deterministic", "params": {"epsilon": 0.2}}, True, True),
+    "weighted": ({"algorithm": "weighted", "params": {"epsilon": 0.2}}, True, True),
+    "randomized": ({"algorithm": "randomized", "params": {"t": 2}}, False, True),
+    "general": ({"algorithm": "general", "params": {"k": 2}}, False, False),
+    "forest": ({"algorithm": "forest"}, False, False),
+    "unknown-degree": ({"algorithm": "unknown-degree", "params": {"epsilon": 0.2}}, True, True),
     "unknown-arboricity": (
-        lambda g, a, s, e: repro.solve_mds_unknown_arboricity(g, epsilon=0.25, seed=s, engine=e),
         {"algorithm": "unknown-arboricity", "params": {"epsilon": 0.25}},
         True,
         False,
@@ -99,17 +63,14 @@ SOLVERS = {
 
 
 def _check_cell(solver_key, family, size, seed):
-    legacy_call, spec_fields, weighted, uses_alpha = SOLVERS[solver_key]
+    spec_fields, weighted, uses_alpha = SOLVERS[solver_key]
     builder, alpha = family
     graph = builder(size, seed)
     if weighted:
         assign_random_weights(graph, 1, 25, seed=seed + 1)
-    # alpha=None exercises the degeneracy-resolution path in both stacks.
+    # alpha=None exercises the degeneracy-resolution path.
     session = Session()
     for engine in ("reference", "batched"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = legacy_call(graph, alpha if uses_alpha else None, seed, engine)
         spec = RunSpec(
             graph=graph,
             alpha=alpha if uses_alpha else None,
@@ -122,14 +83,13 @@ def _check_cell(solver_key, family, size, seed):
         again = session.run(spec)  # reused network: must not drift
 
         label = f"{solver_key}/{engine}"
-        assert result_bytes(one_shot) == result_bytes(legacy), label
-        assert result_bytes(first) == result_bytes(legacy), label
-        assert result_bytes(again) == result_bytes(legacy), label
+        assert result_bytes(first) == result_bytes(one_shot), label
+        assert result_bytes(again) == result_bytes(one_shot), label
 
 
 @pytest.mark.parametrize("solver_key", sorted(SOLVERS))
 @pytest.mark.parametrize("family_key", sorted(FAMILIES))
-def test_runspec_path_matches_legacy(family_key, solver_key):
+def test_reused_session_matches_execute(family_key, solver_key):
     _check_cell(solver_key, FAMILIES[family_key], size=40, seed=13)
 
 
@@ -137,6 +97,6 @@ def test_runspec_path_matches_legacy(family_key, solver_key):
 @pytest.mark.parametrize("solver_key", sorted(SOLVERS))
 @pytest.mark.parametrize("family_key", sorted({**FAMILIES, **SLOW_FAMILIES}))
 @pytest.mark.parametrize("seed", [1, 29])
-def test_runspec_path_matches_legacy_full_grid(family_key, solver_key, seed):
+def test_reused_session_matches_execute_full_grid(family_key, solver_key, seed):
     families = {**FAMILIES, **SLOW_FAMILIES}
     _check_cell(solver_key, families[family_key], size=52, seed=seed)

@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro import RunSpec, Session, execute
-from repro.core.api import SOLVERS, resolve_solver
 from repro.run import (
     ALGORITHMS,
     available_algorithms,
@@ -78,9 +77,6 @@ class TestRunSpecValidation:
 
 
 class TestAlgorithmRegistry:
-    def test_all_legacy_solver_names_registered(self):
-        assert set(SOLVERS) <= set(ALGORITHMS)
-
     def test_baseline_solvers_registered(self):
         for name in ("lw-deterministic", "lw-randomized", "msw-combinatorial",
                      "weighted-lambda-scaled"):
@@ -110,23 +106,10 @@ class TestAlgorithmRegistry:
             del ALGORITHMS["test-custom-forest"]
 
 
-class TestResolveSolverErrorPath:
-    def test_resolve_solver_returns_helper(self):
-        from repro import solve_mds
-
-        assert resolve_solver("deterministic") is solve_mds
-
-    def test_resolve_solver_unknown_name_lists_solvers(self):
-        with pytest.raises(KeyError) as excinfo:
-            resolve_solver("nope")
-        message = excinfo.value.args[0]
-        assert message.startswith("unknown solver 'nope'")
-        for name in SOLVERS:
-            assert name in message
-
+class TestRegistryLookup:
     def test_registry_lookup_is_shared(self):
-        # The RunSpec validation and resolve_solver raise through the same
-        # helper, so the two error shapes stay in lockstep.
+        # The RunSpec validation and the scenario registry raise through the
+        # same helper, so the error shapes stay in lockstep.
         with pytest.raises(KeyError, match="unknown thing 'x'; known things: a, b"):
             registry_lookup({"a": 1, "b": 2}, "x", "thing")
 

@@ -173,6 +173,24 @@ class TestFaults:
         spec = _spec(graph, faults=FAULT_MODELS["lossy10"], fault_seed=3)
         assert compiled.fault_plan(spec) is compiled.fault_plan(spec)
 
+    def test_plan_memo_is_bounded(self, graph):
+        # A long-lived session seeing a fresh fault seed per run (repro
+        # serve) must not keep every plan it ever built alive.
+        import gc
+        import weakref
+
+        compiled = Session().compile(_spec(graph))
+        regime = FAULT_MODELS["chaos"]
+        plans = [
+            weakref.ref(compiled.fault_plan(_spec(graph, faults=regime, fault_seed=seed)))
+            for seed in range(50)
+        ]
+        gc.collect()
+        assert sum(plan() is not None for plan in plans) <= 8
+        # The most recent plan is still memoized by identity.
+        latest = _spec(graph, faults=regime, fault_seed=49)
+        assert plans[-1]() is compiled.fault_plan(latest)
+
 
 class TestValidationPolicyAndWeights:
     def test_skip_validation_sets_is_valid_none(self, graph):
