@@ -17,11 +17,15 @@ and edge identifiers of one specific input graph:
   currently deliver messages, the standard dynamic-network-with-static-
   footprint model.
 
-Plans are plain frozen dataclasses: picklable (they cross the sweep runner's
+Plans are immutable values: picklable (they cross the sweep runner's
 process boundary inside scenario specs), hashable content (``as_dict`` is
-JSON-ready), and engine-independent.  The runtime that applies a plan inside
-an engine's round loop is :class:`repro.faults.session.FaultSession`; the
-engine wrapper is :class:`repro.faults.engine.AdversarialEngine`.
+JSON-ready), and engine-independent.  A plan holds its crashes and churn
+either as tuples of the event classes above or, when materialised on a CSR
+graph, as :class:`PlanColumns` arrays with no Python object per event; the
+two forms are one value (equal, same hash, same ``as_dict``).  The runtime
+that applies a plan inside an engine's round loop is
+:class:`repro.faults.session.FaultSession`; the engine wrapper is
+:class:`repro.faults.engine.AdversarialEngine`.
 
 Timing model (all rounds are the simulator's global round indices):
 
@@ -39,10 +43,10 @@ Timing model (all rounds are the simulator's global round indices):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Any, Dict, Hashable, NamedTuple, Optional, Tuple
 
-__all__ = ["CrashFault", "LinkFault", "ChurnEvent", "FaultPlan"]
+__all__ = ["CrashFault", "LinkFault", "ChurnEvent", "FaultPlan", "PlanColumns"]
 
 #: Accepted ``FaultPlan.on_round_limit`` policies.
 ROUND_LIMIT_POLICIES = ("stop", "raise")
@@ -138,7 +142,37 @@ class ChurnEvent:
         }
 
 
-@dataclass(frozen=True)
+class PlanColumns(NamedTuple):
+    """The crash and churn schedule of a plan as aligned ``int64`` arrays.
+
+    This is how :meth:`repro.faults.spec.FaultSpec.materialize` stores a
+    plan drawn on a :class:`~repro.graphs.large_scale.CSRGraph`, whose node
+    ids are its indices: one entry per crash window and one per churn event,
+    in plan order, with no Python object per event.
+    """
+
+    crash_node: Any
+    crash_start: Any
+    crash_recover: Any  # -1 = crash-stop
+    churn_round: Any
+    churn_u: Any
+    churn_v: Any
+    churn_insert: Any  # bool: True = "insert", False = "remove"
+
+
+#: Field order of :class:`FaultPlan` (constructor, equality, hash, repr).
+_FIELDS = (
+    "crashes",
+    "drop_probability",
+    "latency_low",
+    "latency_high",
+    "links",
+    "churn",
+    "seed",
+    "on_round_limit",
+)
+
+
 class FaultPlan:
     """A complete, seeded adversarial schedule for one network.
 
@@ -164,37 +198,35 @@ class FaultPlan:
         algorithm of the messages it needs to finish.  ``"raise"`` keeps the
         fault-free behavior (:class:`~repro.congest.errors.NonConvergenceError`).
         Empty plans always raise, so they stay byte-identical to plain runs.
+
+    A plan is immutable and compares, hashes and pickles by content.  It
+    has two storage forms with one interface: the tuple form built by this
+    constructor, and the columnar form built by :meth:`from_columns` (what
+    a plan materialised on a CSR graph uses).  A columnar plan keeps its
+    crashes and churn as :class:`PlanColumns` arrays and builds the
+    ``crashes`` / ``churn`` tuples only when they are read; its queries
+    (:meth:`is_empty`, :attr:`has_churn`, :meth:`faulty_nodes`,
+    :meth:`describe`) read the arrays.
     """
 
-    crashes: Tuple[CrashFault, ...] = ()
-    drop_probability: float = 0.0
-    latency_low: int = 0
-    latency_high: int = 0
-    links: Tuple[LinkFault, ...] = ()
-    churn: Tuple[ChurnEvent, ...] = ()
-    seed: int = 0
-    on_round_limit: str = "stop"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "crashes", tuple(self.crashes))
-        object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "churn", tuple(self.churn))
-        if not 0.0 <= self.drop_probability <= 1.0:
-            raise ValueError(
-                f"drop_probability must lie in [0, 1], got {self.drop_probability}"
-            )
-        if self.latency_low < 0 or self.latency_high < self.latency_low:
-            raise ValueError(
-                f"latency bounds must satisfy 0 <= low <= high, got "
-                f"[{self.latency_low}, {self.latency_high}]"
-            )
-        if self.on_round_limit not in ROUND_LIMIT_POLICIES:
-            raise ValueError(
-                f"on_round_limit must be one of {ROUND_LIMIT_POLICIES}, "
-                f"got {self.on_round_limit!r}"
-            )
+    def __init__(
+        self,
+        crashes: Tuple[CrashFault, ...] = (),
+        drop_probability: float = 0.0,
+        latency_low: int = 0,
+        latency_high: int = 0,
+        links: Tuple[LinkFault, ...] = (),
+        churn: Tuple[ChurnEvent, ...] = (),
+        seed: int = 0,
+        on_round_limit: str = "stop",
+    ) -> None:
+        self._init_scalars(
+            drop_probability, latency_low, latency_high, links, seed, on_round_limit
+        )
+        crashes = tuple(crashes)
+        _set(self, _crashes=crashes, _churn=tuple(churn), columns=None)
         windows: Dict[Hashable, list] = {}
-        for crash in self.crashes:
+        for crash in crashes:
             windows.setdefault(crash.node, []).append(crash)
         for node, node_windows in windows.items():
             ordered = sorted(node_windows, key=lambda c: c.start)
@@ -205,15 +237,167 @@ class FaultPlan:
                         f"({earlier} and {later})"
                     )
 
+    @classmethod
+    def from_columns(
+        cls,
+        columns: PlanColumns,
+        drop_probability: float = 0.0,
+        latency_low: int = 0,
+        latency_high: int = 0,
+        links: Tuple[LinkFault, ...] = (),
+        seed: int = 0,
+        on_round_limit: str = "stop",
+    ) -> "FaultPlan":
+        """A columnar plan; validated on the arrays, equal to its tuple form."""
+        import numpy as np
+
+        plan = cls.__new__(cls)
+        plan._init_scalars(
+            drop_probability, latency_low, latency_high, links, seed, on_round_limit
+        )
+        columns = PlanColumns(
+            *(np.asarray(column, dtype=np.int64) for column in columns[:-1]),
+            np.asarray(columns.churn_insert, dtype=bool),
+        )
+        node, start, recover = columns.crash_node, columns.crash_start, columns.crash_recover
+        if len({len(column) for column in columns[:3]}) > 1 or (
+            len({len(column) for column in columns[3:]}) > 1
+        ):
+            raise ValueError("crash columns and churn columns must each be aligned")
+        if len(columns.churn_round) and int(columns.churn_round.min()) < 0:
+            raise ValueError(
+                f"churn round must be >= 0, got {int(columns.churn_round.min())}"
+            )
+        if len(start) and int(start.min()) < 0:
+            raise ValueError(f"crash start must be >= 0, got {int(start.min())}")
+        bad = (recover != -1) & (recover <= start)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"crash recover round {int(recover[i])} must be after start {int(start[i])}"
+            )
+        order = np.lexsort((start, node))
+        node_s, start_s, recover_s = node[order], start[order], recover[order]
+        overlap = (node_s[1:] == node_s[:-1]) & (
+            (recover_s[:-1] == -1) | (start_s[1:] < recover_s[:-1])
+        )
+        if overlap.any():
+            i = int(np.flatnonzero(overlap)[0])
+            earlier, later = (
+                CrashFault(int(node_s[j]), int(start_s[j]), _recover(recover_s[j]))
+                for j in (i, i + 1)
+            )
+            raise ValueError(
+                f"node {earlier.node!r} has overlapping crash windows "
+                f"({earlier} and {later})"
+            )
+        _set(plan, _crashes=None, _churn=None, columns=columns)
+        return plan
+
+    def _init_scalars(
+        self, drop_probability, latency_low, latency_high, links, seed, on_round_limit
+    ) -> None:
+        if not 0.0 <= drop_probability <= 1.0:
+            raise ValueError(
+                f"drop_probability must lie in [0, 1], got {drop_probability}"
+            )
+        if latency_low < 0 or latency_high < latency_low:
+            raise ValueError(
+                f"latency bounds must satisfy 0 <= low <= high, got "
+                f"[{latency_low}, {latency_high}]"
+            )
+        if on_round_limit not in ROUND_LIMIT_POLICIES:
+            raise ValueError(
+                f"on_round_limit must be one of {ROUND_LIMIT_POLICIES}, "
+                f"got {on_round_limit!r}"
+            )
+        _set(
+            self,
+            drop_probability=drop_probability,
+            latency_low=latency_low,
+            latency_high=latency_high,
+            links=tuple(links),
+            seed=seed,
+            on_round_limit=on_round_limit,
+        )
+
+    # -- the tuple views ---------------------------------------------------
+
+    @property
+    def crashes(self) -> Tuple[CrashFault, ...]:
+        if self._crashes is None:
+            columns = self.columns
+            _set(
+                self,
+                _crashes=tuple(
+                    CrashFault(node, start, _recover(recover))
+                    for node, start, recover in zip(
+                        columns.crash_node.tolist(),
+                        columns.crash_start.tolist(),
+                        columns.crash_recover.tolist(),
+                    )
+                ),
+            )
+        return self._crashes
+
+    @property
+    def churn(self) -> Tuple[ChurnEvent, ...]:
+        if self._churn is None:
+            columns = self.columns
+            _set(
+                self,
+                _churn=tuple(
+                    ChurnEvent(round_index, "insert" if insert else "remove", u, v)
+                    for round_index, insert, u, v in zip(
+                        columns.churn_round.tolist(),
+                        columns.churn_insert.tolist(),
+                        columns.churn_u.tolist(),
+                        columns.churn_v.tolist(),
+                    )
+                ),
+            )
+        return self._churn
+
+    # -- value semantics ---------------------------------------------------
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in _FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
+        return f"{self.__class__.__name__}({fields})"
+
     # -- queries -----------------------------------------------------------
+
+    def _crash_count(self) -> int:
+        columns = self.columns
+        return len(self._crashes) if columns is None else len(columns.crash_node)
+
+    def _churn_count(self) -> int:
+        columns = self.columns
+        return len(self._churn) if columns is None else len(columns.churn_round)
 
     def is_empty(self) -> bool:
         """True iff the plan changes nothing about a fault-free execution."""
         return (
-            not self.crashes
+            not self._crash_count()
             and self.drop_probability == 0.0
             and self.latency_high == 0
-            and not self.churn
+            and not self._churn_count()
             and all(
                 link.drop_probability == 0.0 and link.latency_high == 0
                 for link in self.links
@@ -222,11 +406,15 @@ class FaultPlan:
 
     @property
     def has_churn(self) -> bool:
-        return bool(self.churn)
+        return bool(self._churn_count())
 
     def faulty_nodes(self) -> Tuple[Hashable, ...]:
         """Sorted tuple of every node with at least one crash window."""
-        return tuple(sorted({crash.node for crash in self.crashes}, key=repr))
+        if self.columns is None:
+            nodes = {crash.node for crash in self._crashes}
+        else:
+            nodes = set(self.columns.crash_node.tolist())
+        return tuple(sorted(nodes, key=repr))
 
     def as_dict(self) -> Dict[str, object]:
         """Canonical JSON-ready form (used for content hashing)."""
@@ -244,19 +432,34 @@ class FaultPlan:
     def describe(self) -> str:
         """One-line human-readable summary."""
         parts = []
-        if self.crashes:
-            permanent = sum(1 for crash in self.crashes if crash.is_permanent)
-            recovering = len(self.crashes) - permanent
-            parts.append(f"crashes={permanent} stop/{recovering} recover")
+        crash_count = self._crash_count()
+        if crash_count:
+            if self.columns is None:
+                permanent = sum(1 for crash in self._crashes if crash.is_permanent)
+            else:
+                permanent = int((self.columns.crash_recover == -1).sum())
+            parts.append(f"crashes={permanent} stop/{crash_count - permanent} recover")
         if self.drop_probability:
             parts.append(f"drop_p={self.drop_probability}")
         if self.latency_high:
             parts.append(f"latency=[{self.latency_low},{self.latency_high}]")
         if self.links:
             parts.append(f"link_overrides={len(self.links)}")
-        if self.churn:
-            parts.append(f"churn_events={len(self.churn)}")
+        churn_count = self._churn_count()
+        if churn_count:
+            parts.append(f"churn_events={churn_count}")
         return "no faults" if not parts else " ".join(parts)
+
+
+def _set(plan: FaultPlan, **attributes: object) -> None:
+    """Write attributes past the frozen ``__setattr__`` (construction only)."""
+    for name, value in attributes.items():
+        object.__setattr__(plan, name, value)
+
+
+def _recover(value) -> Optional[int]:
+    """A crash column's recover round (``-1`` is crash-stop) as a plan field."""
+    return None if value == -1 else int(value)
 
 
 def _ident(value: Hashable) -> object:

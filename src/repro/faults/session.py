@@ -6,7 +6,10 @@ engine as its ``hooks`` object.  It owns everything both engines need:
 
 * the **compiled plan** -- CSR adjacency over directed edges (neighbor lists
   sorted by global node order), per-edge omission probabilities and latency
-  bounds, crash and churn event schedules keyed by round;
+  bounds, and crash and churn schedules keyed by round.  Each round's
+  schedule is a few index arrays (recover/crash node groups, insert/remove
+  edge groups) applied as scatters; plans are compiled from their arrays,
+  with a per-event loop only to name an invalid node or edge in the error;
 * the **per-round randomness** -- one uniform array per directed edge per
   round, drawn from ``numpy``'s seeded generator.  Decisions are a pure
   function of ``(plan seed, round, directed edge)``, never of iteration
@@ -29,10 +32,10 @@ arrays, so an execution is byte-identical whichever engine runs it --
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.congest.network import Network
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, PlanColumns
 
 __all__ = ["FaultSession"]
 
@@ -81,32 +84,28 @@ class FaultSession:
         """Compile ``plan`` directly against a CSR graph for the kernel tier.
 
         CSR node ids *are* their indices, so the identity order stands in
-        for the layout's node order.  The resulting session makes exactly
-        the decisions :meth:`route`/:meth:`broadcast` would make on the
-        equivalent ``Network`` (same CSR edge positions, same seeded
-        uniforms), which is what keeps kernel runs on ``CSRGraph`` inputs
-        byte-identical to reference runs on ``to_networkx()``.
+        for the layout's node order, and a columnar plan
+        (:meth:`FaultPlan.from_columns`, what materialising on a CSR graph
+        builds) compiles from its arrays without creating a Python object
+        per event.  Edge positions come from a binary search over the
+        sorted directed-edge keys; nothing is cached on the graph.  The
+        resulting session makes exactly the decisions
+        :meth:`route`/:meth:`broadcast` would make on the equivalent
+        ``Network`` (same CSR edge positions, same seeded uniforms), which
+        is what keeps kernel runs on ``CSRGraph`` inputs byte-identical to
+        reference runs on ``to_networkx()``.
         """
         session = cls.__new__(cls)
         n = int(csr_graph.n)
-        indptr = csr_graph.indptr
-        indices = csr_graph.indices
-        edge_pos = getattr(csr_graph, "_fault_edge_pos", None)
-        if edge_pos is None:
-            sources = [i for i in range(n) for _ in range(int(indptr[i + 1]) - int(indptr[i]))]
-            edge_pos = {
-                (src, int(dst)): e for e, (src, dst) in enumerate(zip(sources, indices))
-            }
-            csr_graph._fault_edge_pos = edge_pos
         session._compile(
             plan,
             None,
-            list(range(n)),
+            range(n),
             {i: i for i in range(n)},
-            indptr,
-            indices,
-            edge_pos,
-            len(indices) // 2,
+            csr_graph.indptr,
+            csr_graph.indices,
+            None,
+            len(csr_graph.indices) // 2,
         )
         return session
 
@@ -114,11 +113,11 @@ class FaultSession:
         self,
         plan: FaultPlan,
         network: Optional[Network],
-        node_order: List[Hashable],
+        node_order: Sequence[Hashable],
         index_of: Dict[Hashable, int],
         indptr,
         indices,
-        edge_pos: Dict[Tuple[int, int], int],
+        edge_pos: Optional[Dict[Tuple[int, int], int]],
         undirected_edges: int,
     ) -> None:
         import numpy as np
@@ -133,21 +132,12 @@ class FaultSession:
         self.node_order = node_order
         n = len(node_order)
         self._index_of = index_of
-        self._indptr, self._indices, self._edge_pos = indptr, indices, edge_pos
+        self._indptr, self._indices = indptr, indices
         edge_count = len(self._indices)
-
-        # Directed edge keys (src * n + dst) in CSR order; strictly
-        # increasing whenever neighbor lists follow the canonical node order,
-        # which lets the compile loops resolve edge positions with a single
-        # searchsorted instead of per-edge dict lookups.
-        self._sorted_edge_keys = None
-        if edge_count:
-            degrees = np.diff(np.asarray(indptr, dtype=np.int64))
-            keys = np.repeat(
-                np.arange(n, dtype=np.int64), degrees
-            ) * n + np.asarray(indices, dtype=np.int64)
-            if edge_count == 1 or bool((np.diff(keys) > 0).all()):
-                self._sorted_edge_keys = keys
+        self._edge_keys = _EdgeKeys(np, indptr, indices, n)
+        # The scalar paths' (src, dst) -> position map: the network layout's
+        # cached dict, or the same binary search on a CSR graph.
+        self._edge_pos = edge_pos if edge_pos is not None else self._edge_keys
 
         # Per-edge omission probability and latency bounds (defaults plus
         # per-link overrides; a link override applies to both directions).
@@ -165,40 +155,13 @@ class FaultSession:
         # live-edge counter reported in the per-round metrics.
         self._alive = np.ones(edge_count, dtype=bool)
         self._live_undirected = undirected_edges
-        # Inserts before removes within a round: an edge both re-inserted
-        # (end of its downtime) and freshly removed in the same round ends up
-        # removed, which is the natural reading of the schedule.
-        ordered_churn = sorted(
-            plan.churn, key=lambda event: (event.round_index, event.action != "insert")
-        )
-        churn_events = self._compile_churn_vec(ordered_churn) if ordered_churn else {}
-        if churn_events is None:
-            churn_events = {}
-            for event in ordered_churn:
-                e_uv, e_vu = self._directed_pair(event.u, event.v, "churn event")
-                churn_events.setdefault(event.round_index, []).append(
-                    (e_uv, e_vu, event.action == "insert")
-                )
-        self._churn_events = churn_events
+        columns = self._plan_columns(plan)
+        self._churn_events = self._compile_churn(plan, columns)
 
         # Crash windows compiled to per-round down/up toggles.
         self._crashed_now = np.zeros(n, dtype=bool)
         self._permanently_crashed = np.zeros(n, dtype=bool)
-        crash_events: Dict[int, List[Tuple[int, bool, bool]]] = {}
-        for crash in plan.crashes:
-            if crash.node not in index_of:
-                raise ValueError(f"crash fault names unknown node {crash.node!r}")
-            i = index_of[crash.node]
-            crash_events.setdefault(crash.start, []).append((i, True, crash.is_permanent))
-            if crash.recover is not None:
-                crash_events.setdefault(crash.recover, []).append((i, False, False))
-        for events in crash_events.values():
-            # Recoveries before crashes within a round: one window may end
-            # exactly where a node's next window starts (back-to-back
-            # windows), and the down toggle must win regardless of the
-            # order the plan listed them in.
-            events.sort(key=lambda event: event[1])
-        self._crash_events = crash_events
+        self._crash_events = self._compile_crashes(columns)
 
         # In-flight messages: arrival round -> [(receiver index, sender id,
         # payload)], appended in (send round, sender order) sequence.
@@ -214,15 +177,133 @@ class FaultSession:
     # Compilation helpers
     # ------------------------------------------------------------------ #
 
+    def _plan_columns(self, plan: FaultPlan) -> PlanColumns:
+        """The plan's crashes and churn as columns of node *indices*.
+
+        A columnar plan's node ids are CSR indices, so on a CSR session its
+        columns are used as they are; everywhere else the tuple form is
+        resolved through the node index.  Unknown nodes raise here.
+        """
+        np = self._np
+        n = len(self.node_order)
+        columns = plan.columns if self.network is None else None
+        if columns is not None:
+            for end in (columns.churn_u, columns.churn_v):
+                if ((end < 0) | (end >= n)).any():
+                    self._raise_churn_error(plan)
+            node = columns.crash_node
+            unknown = (node < 0) | (node >= n)
+            if unknown.any():
+                node = int(node[np.flatnonzero(unknown)[0]])
+                raise ValueError(f"crash fault names unknown node {node!r}")
+            return columns
+
+        index_of = self._index_of
+        crashes, churn = plan.crashes, plan.churn
+        try:
+            churn_u, churn_v = (
+                np.fromiter((index_of[getattr(e, end)] for e in churn), np.int64, len(churn))
+                for end in ("u", "v")
+            )
+        except KeyError:
+            self._raise_churn_error(plan)
+        try:
+            crash_node = np.fromiter(
+                (index_of[crash.node] for crash in crashes), np.int64, len(crashes)
+            )
+        except KeyError as missing:
+            raise ValueError(
+                f"crash fault names unknown node {missing.args[0]!r}"
+            ) from None
+        return PlanColumns(
+            crash_node,
+            np.fromiter((crash.start for crash in crashes), np.int64, len(crashes)),
+            np.fromiter(
+                (-1 if crash.recover is None else crash.recover for crash in crashes),
+                np.int64,
+                len(crashes),
+            ),
+            np.fromiter((e.round_index for e in churn), np.int64, len(churn)),
+            churn_u,
+            churn_v,
+            np.fromiter((e.action == "insert" for e in churn), bool, len(churn)),
+        )
+
+    def _raise_churn_error(self, plan: FaultPlan) -> None:
+        """Raise the precise error for the first churn event that is invalid."""
+        for event in plan.churn:
+            self._directed_pair(event.u, event.v, "churn event")
+        raise AssertionError("no invalid churn event found")  # pragma: no cover
+
+    def _compile_churn(self, plan: FaultPlan, columns: PlanColumns):
+        """Per-round ``(insert_uv, insert_vu, remove_uv, remove_vu)`` positions.
+
+        Within one round the inserts apply before the removes, so an edge
+        both re-inserted (end of its downtime) and freshly removed in one
+        round ends up removed.  Every duplicate inside one group sets the
+        same value, so each group keeps
+        one entry per undirected edge -- its ``u -> v`` and ``v -> u``
+        positions for ``u < v``, whichever way round the plan named it --
+        and applies as one scatter per direction with an exact live-edge
+        count.
+        """
+        np = self._np
+        u, v = columns.churn_u, columns.churn_v
+        n = np.int64(len(self.node_order))
+        edges, edge_of = np.unique(
+            np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True
+        )
+        positions = self._edge_keys.positions(edges // n, edges % n)
+        if positions is None:
+            self._raise_churn_error(plan)
+        uv, vu = positions
+        # Dense (round, edge) keys: both factors stay below the event count.
+        rounds, round_of = np.unique(columns.churn_round, return_inverse=True)
+        span = np.int64(max(len(edges), 1))
+        pair = round_of * span + edge_of
+        insert = columns.churn_insert
+        groups = []
+        for mask in (insert, ~insert):
+            keys = np.sort(pair[mask])
+            keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+            edge = keys % span
+            groups.append(_by_round(np, rounds[keys // span], uv[edge], vu[edge]))
+        inserts, removes = groups
+        none = (np.empty(0, dtype=np.int64),) * 2
+        return {
+            round_index: inserts.get(round_index, none) + removes.get(round_index, none)
+            for round_index in sorted(inserts.keys() | removes.keys())
+        }
+
+    def _compile_crashes(self, columns: PlanColumns):
+        """Per-round ``(up, down, permanently_down)`` node-index arrays.
+
+        Recoveries apply before crashes within a round: one window may end
+        exactly where a node's next window starts (back-to-back windows),
+        and the down toggle must win regardless of the order the plan
+        listed them in.
+        """
+        np = self._np
+        node, recover = columns.crash_node, columns.crash_recover
+        recovers = recover != -1
+        ups = _by_round(np, recover[recovers], node[recovers])
+        downs = _by_round(np, columns.crash_start, node, ~recovers)
+        none = np.empty(0, dtype=np.int64)
+        events = {}
+        for round_index in sorted(ups.keys() | downs.keys()):
+            (up,) = ups.get(round_index, (none,))
+            down, permanent = downs.get(round_index, (none, none.astype(bool)))
+            events[round_index] = (up, down, down[permanent])
+        return events
+
     def _apply_link_overrides(self, plan, drop_p, lat_low, lat_high) -> None:
         """Scatter per-link drop/latency overrides into the edge columns.
 
         Large plans (a latency or chaos regime touches most links) resolve
-        every edge position in a few array operations; anything the fast
-        path cannot express exactly -- unknown labels, edges outside the
-        graph, duplicate overrides of one link (where the later entry must
-        win, in plan order) -- falls back to the scalar loop, which also
-        raises the precise per-link errors.
+        every edge position in a few array operations.  Unknown labels,
+        edges outside the graph and duplicate overrides of one link (where
+        the later entry must win, in plan order) take the scalar loop,
+        which also raises the precise per-link errors.
         """
         links = plan.links
         if not links:
@@ -236,7 +317,7 @@ class FaultSession:
         except KeyError:
             self._apply_link_overrides_slow(plan, drop_p, lat_low, lat_high)
             return
-        pos = self._edge_positions_vec(u_idx, v_idx)
+        pos = self._edge_keys.positions(u_idx, v_idx)
         if pos is None or np.unique(np.concatenate(pos)).size != 2 * count:
             self._apply_link_overrides_slow(plan, drop_p, lat_low, lat_high)
             return
@@ -255,68 +336,6 @@ class FaultSession:
                 drop_p[e] = link.drop_probability
                 lat_low[e] = link.latency_low
                 lat_high[e] = link.latency_high
-
-    def _compile_churn_vec(self, ordered_churn):
-        """Per-round ``(e_uv, e_vu, alive)`` array triples, or ``None``.
-
-        ``None`` sends the caller to the scalar loop: unknown labels or
-        edges (where it raises the precise error), unsorted CSR keys, or a
-        round touching the same undirected edge twice (where the toggles
-        must apply strictly in plan order).
-        """
-        np = self._np
-        index_of = self._index_of
-        count = len(ordered_churn)
-        try:
-            u_idx = np.fromiter(
-                (index_of[e.u] for e in ordered_churn), np.int64, count
-            )
-            v_idx = np.fromiter(
-                (index_of[e.v] for e in ordered_churn), np.int64, count
-            )
-        except KeyError:
-            return None
-        pos = self._edge_positions_vec(u_idx, v_idx)
-        if pos is None:
-            return None
-        pos_uv, pos_vu = pos
-        rounds = np.fromiter(
-            (e.round_index for e in ordered_churn), np.int64, count
-        )
-        alive = np.fromiter(
-            (e.action == "insert" for e in ordered_churn), bool, count
-        )
-        undirected = np.minimum(pos_uv, pos_vu)
-        edge_count = np.int64(len(self._indices))
-        if np.unique(rounds * edge_count + undirected).size != count:
-            return None
-        # ordered_churn is sorted by round, so each round is a slice.
-        bounds = np.flatnonzero(np.r_[True, rounds[1:] != rounds[:-1]])
-        ends = np.r_[bounds[1:], count]
-        return {
-            int(rounds[lo]): (pos_uv[lo:hi], pos_vu[lo:hi], alive[lo:hi])
-            for lo, hi in zip(bounds.tolist(), ends.tolist())
-        }
-
-    def _edge_positions_vec(self, u_idx, v_idx):
-        """Positions of directed edges ``u -> v`` and ``v -> u``, or ``None``.
-
-        ``None`` means the fast path cannot answer -- the CSR keys are not
-        sorted, or some named edge is absent -- and the caller must take the
-        scalar path (which raises the precise error for missing edges).
-        """
-        np = self._np
-        keys = self._sorted_edge_keys
-        if keys is None:
-            return None
-        n = np.int64(len(self.node_order))
-        key_uv = u_idx * n + v_idx
-        key_vu = v_idx * n + u_idx
-        pos_uv = np.searchsorted(keys, key_uv).clip(max=keys.size - 1)
-        pos_vu = np.searchsorted(keys, key_vu).clip(max=keys.size - 1)
-        if (keys[pos_uv] != key_uv).any() or (keys[pos_vu] != key_vu).any():
-            return None
-        return pos_uv, pos_vu
 
     def _directed_pair(self, u: Hashable, v: Hashable, what: str) -> Tuple[int, int]:
         index_of = self._index_of
@@ -338,29 +357,22 @@ class FaultSession:
     def begin_round(self, round_index: int) -> None:
         """Apply the crash/churn toggles scheduled for ``round_index``."""
         self._round = round_index
-        for i, down, permanent in self._crash_events.get(round_index, ()):
-            self._crashed_now[i] = down
-            if permanent:
-                self._permanently_crashed[i] = True
-        events = self._churn_events.get(round_index)
-        if events is None:
-            return
-        if isinstance(events, list):
-            # Scalar fallback format: apply toggles strictly in plan order.
-            for e_uv, e_vu, alive in events:
-                if bool(self._alive[e_uv]) != alive:
-                    self._live_undirected += 1 if alive else -1
-                self._alive[e_uv] = alive
-                self._alive[e_vu] = alive
-            return
-        # Array format: each undirected edge appears at most once per round,
-        # so the toggles commute and apply as one scatter per direction.
-        e_uv, e_vu, alive = events
-        current = self._alive[e_uv]
-        self._live_undirected += int((alive & ~current).sum())
-        self._live_undirected -= int((~alive & current).sum())
-        self._alive[e_uv] = alive
-        self._alive[e_vu] = alive
+        crash = self._crash_events.get(round_index)
+        if crash is not None:
+            up, down, permanent = crash
+            self._crashed_now[up] = False
+            self._crashed_now[down] = True
+            self._permanently_crashed[permanent] = True
+        churn = self._churn_events.get(round_index)
+        if churn is not None:
+            alive = self._alive
+            insert_uv, insert_vu, remove_uv, remove_vu = churn
+            self._live_undirected += int(insert_uv.size - alive[insert_uv].sum())
+            alive[insert_uv] = True
+            alive[insert_vu] = True
+            self._live_undirected -= int(alive[remove_uv].sum())
+            alive[remove_uv] = False
+            alive[remove_vu] = False
 
     def runnable(self, index: int) -> bool:
         """False iff the node is permanently crashed (it will never act again)."""
@@ -537,3 +549,71 @@ class FaultSession:
             else:
                 inbox[sender_id] = payload
         return inboxes, dropped
+
+
+def _by_round(np, rounds, *columns) -> Dict[int, Tuple[Any, ...]]:
+    """``{round: slices of columns}`` grouping each column's entries by round."""
+    if not rounds.size:
+        return {}
+    order = np.argsort(rounds, kind="stable")
+    rounds = rounds[order]
+    columns = [column[order] for column in columns]
+    starts = np.flatnonzero(np.r_[True, rounds[1:] != rounds[:-1]])
+    ends = np.r_[starts[1:], rounds.size]
+    return {
+        int(rounds[lo]): tuple(column[lo:hi] for column in columns)
+        for lo, hi in zip(starts.tolist(), ends.tolist())
+    }
+
+
+class _EdgeKeys:
+    """Directed-edge positions by binary search over sorted ``src * n + dst`` keys.
+
+    One ``int64`` array stands in for a Python dict entry per directed
+    edge; the mapping protocol (``keys[(src, dst)]``, ``(src, dst) in
+    keys``) serves the scalar paths of a session on a CSR graph.
+    """
+
+    def __init__(self, np, indptr, indices, n: int):
+        degrees = np.diff(np.asarray(indptr, dtype=np.int64))
+        keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n + np.asarray(
+            indices, dtype=np.int64
+        )
+        # The binary search needs the canonical CSR layout: every neighbor
+        # list ascending, no duplicate edge.
+        if keys.size > 1 and not bool((np.diff(keys) > 0).all()):
+            raise ValueError("fault plans need CSR neighbor lists sorted ascending")
+        self._np, self._keys, self._n = np, keys, np.int64(n)
+
+    def position(self, u_idx, v_idx):
+        """Positions of the directed edges ``u -> v``, or ``None`` if one is absent."""
+        np, keys = self._np, self._keys
+        key = np.asarray(u_idx, dtype=np.int64) * self._n + np.asarray(v_idx, dtype=np.int64)
+        if not key.size:
+            return key
+        if not keys.size:
+            return None
+        # Searching in ascending order keeps the binary searches cache-local
+        # (several times faster on large random batches).
+        order = np.argsort(key, kind="stable")
+        ascending = key[order]
+        found = np.searchsorted(keys, ascending).clip(max=keys.size - 1)
+        if (keys[found] != ascending).any():
+            return None
+        at = np.empty_like(found)
+        at[order] = found
+        return at
+
+    def positions(self, u_idx, v_idx):
+        """``(u -> v, v -> u)`` position arrays, or ``None`` if an edge is absent."""
+        forward, backward = self.position(u_idx, v_idx), self.position(v_idx, u_idx)
+        return None if forward is None or backward is None else (forward, backward)
+
+    def __getitem__(self, pair: Tuple[int, int]) -> int:
+        at = self.position([pair[0]], [pair[1]])
+        if at is None:
+            raise KeyError(pair)
+        return int(at[0])
+
+    def __contains__(self, pair: Tuple[int, int]) -> bool:
+        return self.position([pair[0]], [pair[1]]) is not None

@@ -9,12 +9,13 @@ across sweep worker processes, and *materialised* against a concrete graph
 and sweep-cell seed into a :class:`~repro.faults.plan.FaultPlan` with real
 node/edge identifiers.
 
-Materialisation is deterministic: victims and churned edges are sampled with
-a :class:`random.Random` seeded from the resolved spec seed (string-seeded,
-so identical across processes), and the resulting plan carries the same seed
-for its per-round omission/latency draws.  A fixed ``(spec, graph, seed)``
-triple therefore reproduces the identical adversarial schedule everywhere --
-the property the sweep cache and the cross-engine parity gates rely on.
+Materialisation is deterministic: victims and churned edges are sampled by
+position in the graph's node and edge order, with a :class:`random.Random`
+seeded from the resolved spec seed (string-seeded, so identical across
+processes), and the resulting plan carries the same seed for its per-round
+omission/latency draws.  A fixed ``(spec, graph, seed)`` triple therefore
+reproduces the identical adversarial schedule everywhere -- the property the
+sweep cache and the cross-engine parity gates rely on.
 
 :data:`FAULT_MODELS` names a catalogue of ready-made regimes; the CLI's
 ``--faults`` flag overlays one of them onto any registered scenario.
@@ -28,7 +29,13 @@ from typing import Dict, Optional
 
 import networkx as nx
 
-from repro.faults.plan import ChurnEvent, CrashFault, FaultPlan, ROUND_LIMIT_POLICIES
+from repro.faults.plan import (
+    ROUND_LIMIT_POLICIES,
+    ChurnEvent,
+    CrashFault,
+    FaultPlan,
+    PlanColumns,
+)
 
 __all__ = ["FaultSpec", "FAULT_MODELS", "fault_model"]
 
@@ -155,45 +162,89 @@ class FaultSpec:
     def materialize(self, graph: nx.Graph, cell_seed: int = 0) -> FaultPlan:
         """Bind the regime to concrete nodes/edges of ``graph``, seeded.
 
-        Sampling iterates the graph's own node/edge order, which is
-        reproducible for graphs rebuilt from the same
-        :class:`~repro.orchestration.registry.GraphSpec`, so materialisation
-        is stable across processes.
+        Victims and churned edges are sampled *by position* in the graph's
+        own node/edge order, which is reproducible for graphs rebuilt from
+        the same :class:`~repro.orchestration.registry.GraphSpec`, so
+        materialisation is stable across processes.  On a
+        :class:`~repro.graphs.large_scale.CSRGraph` the same positions
+        index the node range and :meth:`~repro.graphs.large_scale.CSRGraph.edge_arrays`
+        (the ``to_networkx()`` node and edge order), so the plan equals the
+        one drawn on ``graph.to_networkx()``; it is built columnar
+        (:meth:`FaultPlan.from_columns`), with no Python object per crash
+        or churn event.
         """
+        from repro.graphs.large_scale import CSRGraph
+
         seed = self.resolved_seed(cell_seed)
         rng = random.Random(f"faultspec:{seed}")
+        columnar = isinstance(graph, CSRGraph)
 
-        crashes = []
-        nodes = list(graph.nodes())
+        n = graph.number_of_nodes()
         if self.crash_count is not None:
-            victim_count = min(self.crash_count, len(nodes))
+            victim_count = min(self.crash_count, n)
         else:
-            victim_count = min(int(round(self.crash_fraction * len(nodes))), len(nodes))
-        if victim_count:
-            recover = None if self.recover_after is None else self.crash_at + self.recover_after
-            crashes = [
-                CrashFault(node, start=self.crash_at, recover=recover)
-                for node in rng.sample(nodes, victim_count)
-            ]
+            victim_count = min(int(round(self.crash_fraction * n)), n)
+        victims = rng.sample(range(n), victim_count) if victim_count else []
+        recover = None if self.recover_after is None else self.crash_at + self.recover_after
 
-        churn = []
+        # Per epoch, the sampled edge positions; each is removed at the
+        # epoch's start and re-inserted one period later.
+        epochs = []
         if self.churn_fraction and self.churn_period and self.churn_epochs:
-            edges = [(u, v) for u, v in graph.edges()]
-            per_epoch = min(int(round(self.churn_fraction * len(edges))), len(edges))
+            m = graph.number_of_edges()
+            per_epoch = min(int(round(self.churn_fraction * m)), m)
             if per_epoch:
-                for epoch in range(1, self.churn_epochs + 1):
-                    start = epoch * self.churn_period
-                    for u, v in rng.sample(edges, per_epoch):
-                        churn.append(ChurnEvent(start, "remove", u, v))
-                        churn.append(ChurnEvent(start + self.churn_period, "insert", u, v))
+                epochs = [
+                    (epoch * self.churn_period, rng.sample(range(m), per_epoch))
+                    for epoch in range(1, self.churn_epochs + 1)
+                ]
 
-        return FaultPlan(
-            crashes=tuple(crashes),
+        scalars = dict(
             drop_probability=self.drop_probability,
             latency_high=self.latency_max,
-            churn=tuple(churn),
             seed=seed,
             on_round_limit=self.on_round_limit,
+        )
+        if columnar:
+            return FaultPlan.from_columns(
+                self._columns(graph, victims, recover, epochs), **scalars
+            )
+        nodes = list(graph.nodes())
+        edges = list(graph.edges()) if epochs else []
+        crashes = tuple(
+            CrashFault(nodes[i], start=self.crash_at, recover=recover) for i in victims
+        )
+        churn = []
+        for start, picks in epochs:
+            for k in picks:
+                u, v = edges[k]
+                churn.append(ChurnEvent(start, "remove", u, v))
+                churn.append(ChurnEvent(start + self.churn_period, "insert", u, v))
+        return FaultPlan(crashes=crashes, churn=tuple(churn), **scalars)
+
+    def _columns(self, graph, victims, recover, epochs) -> PlanColumns:
+        """The sampled positions as :class:`PlanColumns` of a CSR graph."""
+        import numpy as np
+
+        crash_node = np.asarray(victims, dtype=np.int64)
+        crash_start = np.full(len(victims), self.crash_at, dtype=np.int64)
+        crash_recover = np.full(len(victims), -1 if recover is None else recover, dtype=np.int64)
+        picks = np.asarray([k for _, sample in epochs for k in sample], dtype=np.int64)
+        starts = np.repeat(
+            np.asarray([start for start, _ in epochs], dtype=np.int64),
+            [len(sample) for _, sample in epochs],
+        )
+        # Plan order: each sampled edge's removal, then its re-insertion.
+        churn_round = np.stack([starts, starts + self.churn_period], axis=1).ravel()
+        churn_insert = np.tile(np.array([False, True]), len(picks))
+        if len(picks):
+            edge_u, edge_v = graph.edge_arrays()
+            churn_u = np.repeat(edge_u[picks], 2)
+            churn_v = np.repeat(edge_v[picks], 2)
+        else:
+            churn_u = churn_v = np.empty(0, dtype=np.int64)
+        return PlanColumns(
+            crash_node, crash_start, crash_recover, churn_round, churn_u, churn_v, churn_insert
         )
 
 

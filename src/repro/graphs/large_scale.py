@@ -55,13 +55,11 @@ class CSRGraph:
     """
 
     def __getstate__(self):
-        # The cached KernelGrid (CSR copies, fold schedule, repr arrays) and
-        # the fault runtime's edge-position map are derived state rebuilt on
-        # demand; shipping them with every pickled RunSpec would triple the
-        # per-worker IPC payload at scale.
+        # The cached KernelGrid (CSR copies, fold schedule, repr arrays) is
+        # derived state rebuilt on demand; shipping it with every pickled
+        # RunSpec would triple the per-worker IPC payload at scale.
         state = dict(self.__dict__)
         state.pop("_kernel_grid", None)
-        state.pop("_fault_edge_pos", None)
         return state
 
     n: int
