@@ -203,7 +203,8 @@ class FaultPlan:
     has two storage forms with one interface: the tuple form built by this
     constructor, and the columnar form built by :meth:`from_columns` (what
     a plan materialised on a CSR graph uses).  A columnar plan keeps its
-    crashes and churn as :class:`PlanColumns` arrays and builds the
+    crashes and churn as :class:`PlanColumns` arrays (``columns``, which is
+    ``None`` on a tuple-form plan) and builds the
     ``crashes`` / ``churn`` tuples only when they are read; its queries
     (:meth:`is_empty`, :attr:`has_churn`, :meth:`faulty_nodes`,
     :meth:`describe`) read the arrays.
