@@ -2,20 +2,22 @@
 
 The kernel tier applies a fault plan without leaving array land: the
 compiled :class:`~repro.faults.session.FaultSession` exposes per-round
-edge-fate arrays, and the faulted driver
-(:mod:`repro.congest.kernels.faults`) replays the hooked round loop as
-whole-graph scatter/fold operations over an explicit columnar mailbox.
-That structure is necessarily heavier than the plain kernels' analytic
-traffic accounting (which never materialises messages at all), so a faulted
-kernel run cannot be free -- but the overhead must stay a small constant
-factor, comparable to the 1.3-6.4x envelope E12 measured for the batched
-engine's fault path, rather than degenerating into per-message costs.
+edge-fate arrays, and the round driver (:mod:`repro.congest.kernels.faults`)
+replays the hooked round loop as whole-graph scatter/fold operations over an
+explicit columnar mailbox.  A plain run executes the *same* program under
+the same driver, but with no edge fates to apply it never expands a
+broadcast into per-edge entries: the inbox stays a sender mask plus payload
+columns, read through CSR segment operations.  So a faulted kernel run
+cannot be free -- it builds the entries the plain run skips -- but the
+overhead must stay a small constant factor, comparable to the 1.3-6.4x
+envelope E12 measured for the batched engine's fault path, rather than
+degenerating into per-message costs.
 
 Measured here at kernel scale (n=10^4, the CSR-direct path): wall time for
-the plain kernel, for a kernel run under an *empty* plan (pure driver
-overhead, byte-identical results enforced), and under real lossy/chaos
-plans (driver plus fault work, with the dropped/delayed traffic reported
-alongside).
+the plain kernel run, for a kernel run under an *empty* plan (the cost of
+expanding every delivery, byte-identical results enforced), and under real
+lossy/chaos plans (expansion plus fault work, with the dropped/delayed
+traffic reported alongside).
 
 A second table covers building the plan itself at n=10^5: materialising
 the ``chaos`` regime on a streamed BA graph and compiling it
@@ -68,8 +70,8 @@ def _measure(name, csr, algorithm, plan_name, plan):
     faulty_time, faulty = _time_run(csr, algorithm, plan)
     assert faulty.engine_used == "kernel", name  # never the fallback tier
     if plan.is_empty():
-        # The empty plan is pure driver plumbing: results must not move a
-        # bit relative to the analytic fast path.
+        # The empty plan only expands the deliveries: results must not move
+        # a bit relative to the plain run.
         assert faulty.outputs == plain.outputs, name
         assert pickle.dumps(faulty.metrics) == pickle.dumps(plain.metrics), name
     return {
@@ -143,8 +145,8 @@ def _run(bench_seed):
 def test_e15_kernel_fault_overhead(benchmark, record_experiment, bench_seed):
     rows, scale = benchmark.pedantic(_run, args=(bench_seed,), rounds=1, iterations=1)
 
-    # The faulted driver materialises messages the analytic path never
-    # builds, so a constant factor is expected -- the ceiling guards against
+    # A faulted run materialises messages the plain run never builds, so a
+    # constant factor is expected -- the ceiling guards against
     # a regression to per-message costs while staying safe on noisy CI
     # machines (E12's batched-engine envelope was 1.3-6.4x).
     for row in rows:
@@ -160,7 +162,7 @@ def test_e15_kernel_fault_overhead(benchmark, record_experiment, bench_seed):
 
     record_experiment(
         "E15_kernel_faults",
-        "Faulted kernel runs vs the plain analytic kernels at n=10^4 (CSR path)",
+        "Faulted kernel runs vs plain kernel runs at n=10^4 (CSR path)",
         format_table(rows)
         + "\n\nBuilding a chaos plan at n=10^5 (materialise + compile; peak RSS "
         "is the process high-water mark after the pair, set-up graph included)\n\n"

@@ -30,7 +30,7 @@ executes the paper's hot algorithms as node-loop-free NumPy array programs
 over the CSR layout (registered lazily here so this module stays importable
 without NumPy).  Algorithms without a kernel fall back to the batched
 engine (the fallback is recorded in ``RunMetrics.engine_used``); fault
-hooks run through the vectorized faulted driver in
+hooks run through the same vectorized round driver as plain kernel runs,
 :mod:`repro.congest.kernels.faults`.
 
 Engine selection

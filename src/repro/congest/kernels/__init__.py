@@ -1,4 +1,4 @@
-"""Algorithm kernels: node-loop-free NumPy implementations over CSR arrays.
+"""Algorithm kernels: node-loop-free NumPy programs over CSR arrays.
 
 This package is the third execution tier (after the reference and batched
 engines): for the paper's hot algorithms it replaces the per-node Python
@@ -7,23 +7,23 @@ scaling runs to 10^5+-node graphs while staying byte-identical to the
 reference engine (same dominating sets, same per-round
 :class:`~repro.congest.metrics.RunMetrics`).
 
-Kernels are registered per *exact* algorithm class -- subclasses with
-overridden behavior never silently inherit a kernel -- and resolved lazily,
-so importing this package does not import NumPy or the algorithm modules.
-Use :func:`register_kernel` to attach a kernel to a custom algorithm class;
-a kernel is a callable ``kernel(grid, config, algorithm, *, budget, limit,
-strict, seed=None, hooks=None) -> (outputs, RunMetrics)`` over a
-:class:`~repro.congest.kernels.grid.KernelGrid`.  ``seed`` is the network
-seed (randomized kernels replay the per-node RNG streams from it) and
-``hooks`` an optional compiled :class:`~repro.faults.session.FaultSession`:
-when present the kernel must apply the fault schedule -- the built-in
-kernels do so through the vectorized driver in
-:mod:`repro.congest.kernels.faults`.
+Each kerneled algorithm has exactly one *program*: a class with a
+``finished`` node mask, ``step(round_index, acting, inbox, run)`` and
+``outputs(count=None)``, constructed as ``program(grid, config, algorithm,
+seed, n_global)`` over a :class:`~repro.congest.kernels.grid.KernelGrid`.
+The driver in :mod:`repro.congest.kernels.faults` runs it, with or without
+a compiled :class:`~repro.faults.session.FaultSession`, and the sharded
+tier runs the same class inside its workers.  Programs are registered per
+*exact* algorithm class -- subclasses with overridden behavior never
+silently inherit one -- and resolved lazily, so importing this package does
+not import NumPy or the algorithm modules.  Use :func:`register_kernel` to
+attach a program to a custom algorithm class.
 """
 
 from __future__ import annotations
 
 import importlib
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.congest.errors import EngineCapabilityError
@@ -45,78 +45,61 @@ def _dotted(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-#: Registered kernels, keyed by the dotted path of the exact algorithm
-#: class.  Each entry is a ``(kernel, program)`` pair: the kernel callable
-#: and its round-by-round driver program (the ``_Faulted*`` class the
-#: sharded tier distributes, or ``None`` when there is none).  Either part
-#: may be a lazy ``"module:attribute"`` reference, resolved on first use so
-#: the keys can be declared without importing the algorithm or kernel
-#: modules.  A program is constructed as ``program(grid, config, algorithm,
-#: seed, n_global)`` -- ``n_global`` is the node count of the whole graph,
-#: which differs from ``grid.n`` on a shard-local grid -- and may define a
-#: ``validate(grid, config, algorithm, seed)`` static method raising the
-#: configuration errors its constructor would raise.
-KERNELS: Dict[str, Tuple[Any, Any]] = {
-    "repro.core.trees.ForestMDSAlgorithm": (
-        "repro.congest.kernels.forest:forest_kernel",
-        "repro.congest.kernels.forest:_FaultedForest",
-    ),
+#: Registered programs, keyed by the dotted path of the exact algorithm
+#: class.  A value may be a lazy ``"module:attribute"`` reference, resolved
+#: on first use so the keys can be declared without importing the algorithm
+#: or kernel modules.  ``n_global`` in the constructor is the node count of
+#: the whole graph, which differs from ``grid.n`` on a shard-local grid; a
+#: program may define a ``validate(grid, config, algorithm, seed)`` static
+#: method raising the configuration errors its constructor would raise.
+KERNELS: Dict[str, Any] = {
+    "repro.core.trees.ForestMDSAlgorithm": "repro.congest.kernels.forest:ForestProgram",
     "repro.core.weighted.WeightedMDSAlgorithm": (
-        "repro.congest.kernels.primal_dual:primal_dual_kernel",
-        "repro.congest.kernels.primal_dual:_FaultedPrimalDual",
+        "repro.congest.kernels.primal_dual:PrimalDualProgram"
     ),
     "repro.core.unweighted.UnweightedMDSAlgorithm": (
-        "repro.congest.kernels.primal_dual:primal_dual_kernel",
-        "repro.congest.kernels.primal_dual:_FaultedPrimalDual",
+        "repro.congest.kernels.primal_dual:PrimalDualProgram"
     ),
     "repro.baselines.lenzen_wattenhofer.LWDeterministicAlgorithm": (
-        "repro.congest.kernels.baseline:lw_deterministic_kernel",
-        "repro.congest.kernels.baseline:_FaultedLWDeterministic",
+        "repro.congest.kernels.baseline:LWDeterministicProgram"
     ),
     "repro.baselines.lenzen_wattenhofer.LWRandomizedAlgorithm": (
-        "repro.congest.kernels.interleaved:lw_randomized_kernel",
-        "repro.congest.kernels.interleaved:_FaultedLWRandomized",
+        "repro.congest.kernels.interleaved:LWRandomizedProgram"
     ),
     "repro.core.unknown_params.UnknownDegreeMDSAlgorithm": (
-        "repro.congest.kernels.interleaved:unknown_degree_kernel",
-        "repro.congest.kernels.interleaved:_FaultedUnknownDegree",
+        "repro.congest.kernels.interleaved:UnknownDegreeProgram"
     ),
 }
 
 
-def _load(reference: Any) -> Any:
-    if not isinstance(reference, str):
-        return reference
-    module_name, attribute = reference.split(":")
-    return getattr(importlib.import_module(module_name), attribute)
+def program_for(algorithm) -> Optional[Callable]:
+    """Return the program for ``algorithm``'s exact class, or ``None``.
 
-
-def _entry(algorithm) -> Optional[Tuple[Any, Any]]:
+    Dispatch is deliberately not ``isinstance``-based: a subclass may
+    change round behavior the program does not replay, so only the exact
+    registered classes match.
+    """
     key = _dotted(type(algorithm))
-    entry = KERNELS.get(key)
-    if entry is None:
-        return None
-    kernel, program = entry
-    if isinstance(kernel, str) or isinstance(program, str):
-        entry = KERNELS[key] = (_load(kernel), _load(program))
-    return entry
+    program = KERNELS.get(key)
+    if isinstance(program, str):
+        module_name, attribute = program.split(":")
+        program = KERNELS[key] = getattr(importlib.import_module(module_name), attribute)
+    return program
 
 
 def kernel_for(algorithm) -> Optional[Callable]:
-    """Return the kernel for ``algorithm``'s exact class, or ``None``.
+    """Return the kernel-tier runner for ``algorithm``, or ``None``.
 
-    Dispatch is deliberately not ``isinstance``-based: a subclass may
-    change round behavior the kernel does not replay, so only the exact
-    registered classes match.
+    The runner is :func:`~repro.congest.kernels.faults.run_program` bound to
+    the algorithm's program: ``kernel(grid, config, algorithm, *, budget,
+    limit, strict, seed=None, hooks=None) -> (outputs, RunMetrics)``.
     """
-    entry = _entry(algorithm)
-    return None if entry is None else entry[0]
+    program = program_for(algorithm)
+    if program is None:
+        return None
+    from repro.congest.kernels.faults import run_program
 
-
-def program_for(algorithm) -> Optional[Callable]:
-    """Return the driver program for ``algorithm``'s exact class, or ``None``."""
-    entry = _entry(algorithm)
-    return None if entry is None else entry[1]
+    return partial(run_program, program)
 
 
 def has_kernel(algorithm) -> bool:
@@ -124,14 +107,14 @@ def has_kernel(algorithm) -> bool:
     return _dotted(type(algorithm)) in KERNELS
 
 
-def register_kernel(algorithm_class: type, kernel: Callable, replace: bool = False):
-    """Register ``kernel`` for the exact ``algorithm_class`` (with no driver
-    program, so the class does not run on the sharded tier)."""
+def register_kernel(algorithm_class: type, program: Callable, replace: bool = False):
+    """Register ``program`` for the exact ``algorithm_class``; it then runs
+    on the kernel and sharded tiers."""
     key = _dotted(algorithm_class)
     if not replace and key in KERNELS:
         raise ValueError(f"a kernel for {key} is already registered")
-    KERNELS[key] = (kernel, None)
-    return kernel
+    KERNELS[key] = program
+    return program
 
 
 def kernel_algorithm_classes() -> Tuple[str, ...]:
@@ -157,9 +140,9 @@ def check_capability(
     ==========  ==========================  ===================================
     networkx    reference, batched, kernel  every algorithm, faults included
                                             (kernel falls back to batched)
-    any         sharded                     algorithms with a driver program,
+    any         sharded                     algorithms with a program,
                                             fault-free only
-    CSRGraph    kernel                      algorithms with a kernel, faults
+    CSRGraph    kernel                      algorithms with a program, faults
                                             included
     CSRGraph    any other                   nothing
     ==========  ==========================  ===================================
@@ -178,7 +161,7 @@ def check_capability(
                 "unsupported capability cell: fault plans do not run on "
                 "engine='sharded'; run faulted cells on engine='kernel'"
             )
-        elif program_for(algorithm) is None:
+        elif not has_kernel(algorithm):
             reason = (
                 f"algorithm {label!r} has no sharded program; engine='sharded' "
                 "supports exactly the kerneled algorithms"

@@ -1,11 +1,17 @@
-"""Node-loop-free kernel for the parallel-threshold-greedy LW baseline.
+"""The kernel program for the parallel-threshold-greedy LW baseline.
 
 :class:`~repro.baselines.lenzen_wattenhofer.LWDeterministicAlgorithm` -- the
 distributed greedy comparison point of benchmark E8 -- alternates coverage
-reports with threshold joins.  Both message types are one-bit booleans, so
-each round is a pair of exact integer segment reductions: "any neighbor
-joined" (segment any) and "uncovered nodes in the closed neighborhood"
-(segment sum), with the phase counter and threshold shared by every node.
+reports with threshold joins.  Both message types are one-bit booleans:
+
+===========  ==============================================================
+round        program operation
+===========  ==============================================================
+2i (report)  absorb joins (segment any); nodes whose phase is exhausted
+             join if uncovered and finish; the rest broadcast "uncovered"
+2i+1 (join)  span = uncovered nodes in the closed neighborhood (segment
+             count); join if ``span >= 2 ** phase``; the phase counts down
+===========  ==============================================================
 """
 
 from __future__ import annotations
@@ -14,23 +20,19 @@ import math
 
 import numpy as np
 
-from repro.congest.errors import NonConvergenceError
-from repro.congest.kernels.accounting import account_broadcasts
-from repro.congest.kernels.csr import segment_any, segment_sum
-from repro.congest.kernels.faults import KIND_JOINED, KIND_UNCOVERED, run_program
+from repro.congest.kernels.faults import KIND_JOINED, KIND_UNCOVERED
 from repro.congest.kernels.grid import output_dicts
-from repro.congest.metrics import RoundMetrics, RunMetrics
 
-__all__ = ["lw_deterministic_kernel"]
+__all__ = ["LWDeterministicProgram"]
 
 
-class _FaultedLWDeterministic:
-    """Round-by-round LW deterministic greedy for the faulted driver.
+class LWDeterministicProgram:
+    """Round-by-round LW deterministic greedy.
 
-    Unlike the lockstep closed form, crashed rounds desynchronise the phase
-    counters, so ``phase`` is a per-node array and the join threshold is
-    ``2.0 ** phase`` (a float once a node's counter goes negative -- exactly
-    the per-node handler's ``2 ** phase``).
+    Crashed rounds desynchronise the phase counters, so ``phase`` is a
+    per-node array and the join threshold is ``2.0 ** phase`` (a float once
+    a node's counter goes negative -- exactly the per-node handler's
+    ``2 ** phase``).
     """
 
     def __init__(self, grid, config, algorithm, seed, n_global):
@@ -78,71 +80,3 @@ class _FaultedLWDeterministic:
         return output_dicts(
             self.grid.node_order, {"in_ds": self.in_ds.tolist()}, count
         )
-
-
-def lw_deterministic_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
-    """Execute the LW-style deterministic greedy; see module docstring."""
-    if hooks is not None:
-        return run_program(
-            grid,
-            hooks,
-            _FaultedLWDeterministic(grid, config, algorithm, seed, grid.n),
-            budget=budget,
-            limit=limit,
-            strict=strict,
-        )
-    metrics = RunMetrics(bandwidth_budget_bits=budget)
-    n = grid.n
-    if n == 0:
-        return {}, metrics
-    indptr, indices = grid.indptr, grid.indices
-    # Identical to the per-node setup: the phase counter starts at
-    # ceil(log2(Delta + 2)) and every node counts down in lockstep.
-    phase = int(math.ceil(math.log2(config.get("max_degree", 0) + 2)))
-    covered = np.zeros(n, dtype=bool)
-    in_ds = np.zeros(n, dtype=bool)
-    joined_previous = np.zeros(n, dtype=bool)
-
-    round_index = 0
-    while True:
-        # Report round (even): absorb joins, then either finish (phase
-        # exhausted: uncovered nodes join themselves) or report coverage.
-        if round_index >= limit:
-            raise NonConvergenceError(rounds=round_index, pending=n)
-        round_metrics = RoundMetrics(round_index=round_index, active_nodes=n)
-        if joined_previous.any():
-            covered[segment_any(indptr, joined_previous[indices])] = True
-        if phase < 1:
-            in_ds |= ~covered
-            metrics.record(round_metrics)
-            break
-        account_broadcasts(
-            round_metrics, grid, None, 1,
-            budget=budget, strict=strict, round_index=round_index,
-        )
-        metrics.record(round_metrics)
-        round_index += 1
-
-        # Join round (odd): span over the closed neighborhood vs 2^phase.
-        if round_index >= limit:
-            raise NonConvergenceError(rounds=round_index, pending=n)
-        round_metrics = RoundMetrics(round_index=round_index, active_nodes=n)
-        uncovered = ~covered
-        span = uncovered.astype(np.int64) + segment_sum(
-            indptr, uncovered[indices].astype(np.int64)
-        )
-        threshold = 1 << phase
-        phase -= 1
-        joining = (~in_ds) & (span >= threshold)
-        in_ds |= joining
-        covered |= joining
-        account_broadcasts(
-            round_metrics, grid, joining, 1,
-            budget=budget, strict=strict, round_index=round_index,
-        )
-        metrics.record(round_metrics)
-        joined_previous = joining
-        round_index += 1
-
-    outputs = output_dicts(grid.node_order, {"in_ds": in_ds.tolist()})
-    return outputs, metrics

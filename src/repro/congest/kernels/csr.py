@@ -11,23 +11,19 @@ The primitives come in two flavors:
 * **Exact integer/boolean reductions** (:func:`segment_sum`,
   :func:`segment_any`, :func:`segment_min`): order-independent, one NumPy
   pass over the edge array.
-* **Order-exact float folds** (:class:`SequentialNeighborFold`): the paper's
+* **The order-exact float sum** (:func:`ordered_row_sum`): the paper's
   primal-dual algorithms accumulate floating point packing values from their
   inbox *in insertion order*, and float addition is not associative -- a
   pairwise or reordered summation would produce a different dominating set
-  than the reference engine on some instances.  The fold therefore replays
-  the reference engine's left-to-right accumulation exactly, but batched:
-  iteration ``k`` adds every node's ``k``-th neighbor value in one
-  vectorized scatter, so the Python-level work is ``O(max_degree)`` calls
-  instead of ``O(n + m)`` handler invocations.
+  than the reference engine on some instances.  The sum therefore replays
+  the reference engine's left-to-right accumulation exactly, as one
+  unbuffered in-order scatter-add.
 
 ``tests/congest/test_kernel_primitives.py`` property-tests all of these
 against brute-force per-node loops.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +33,7 @@ __all__ = [
     "segment_min",
     "segment_min_argrank",
     "int_bit_lengths",
-    "SequentialNeighborFold",
+    "ordered_row_sum",
 ]
 
 
@@ -107,53 +103,21 @@ def int_bit_lengths(values: np.ndarray) -> np.ndarray:
         remaining >>= 1
 
 
-class SequentialNeighborFold:
-    """Order-exact closed-neighborhood float accumulation over a CSR layout.
+def ordered_row_sum(
+    rows: np.ndarray, values: np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """Per row ``i``: ``((base[i] + values[k_1]) + values[k_2]) + ...``.
 
-    ``fold(values)`` returns, for every node ``v``,
-    ``(((values[v] + values[u_1]) + values[u_2]) + ...)`` with ``u_1 < u_2 <
-    ...`` the neighbors in global node order -- bit-for-bit the sum the
-    reference engine's inbox loop produces.  The schedule is precomputed
-    once per graph: nodes are ordered by descending degree so that "every
-    node that still has a ``k``-th neighbor" is a prefix, and iteration
-    ``k`` gathers all ``k``-th neighbor values in one shot.
+    ``k_1 < k_2 < ...`` are the entries with ``rows[k] == i``.  ``np.add.at``
+    is unbuffered and visits the entries in order, so every row's float64
+    additions happen strictly left to right: the result is bit for bit the
+    reference inbox loop's accumulation, signed zeros, infinities and
+    subnormals included.  An entry that must not contribute has to be *left
+    out*, not given the value 0.0: ``-0.0 + 0.0`` is +0.0.
     """
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
-        degrees = np.diff(indptr)
-        n = len(degrees)
-        self.max_degree = int(degrees.max()) if n else 0
-        # Stable sort keeps equal-degree nodes in node order; only the
-        # prefix property matters for correctness.
-        by_degree = np.argsort(-degrees, kind="stable").astype(np.int64)
-        ascending = np.sort(degrees)
-        # prefix_counts[k] = number of nodes with degree > k.
-        prefix_counts = n - np.searchsorted(
-            ascending, np.arange(self.max_degree), side="right"
-        )
-        targets = []
-        sources = []
-        offsets = [0]
-        for k in range(self.max_degree):
-            nodes_k = by_degree[: prefix_counts[k]]
-            targets.append(nodes_k)
-            sources.append(indices[indptr[nodes_k] + k])
-            offsets.append(offsets[-1] + len(nodes_k))
-        self._targets = (
-            np.concatenate(targets) if targets else np.empty(0, dtype=np.int64)
-        )
-        self._sources = (
-            np.concatenate(sources) if sources else np.empty(0, dtype=np.int64)
-        )
-        self._offsets = offsets
-
-    def fold(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Left-fold ``values`` over every closed neighborhood (see class doc)."""
-        accumulator = values.copy() if out is None else np.copyto(out, values) or out
-        targets, sources, offsets = self._targets, self._sources, self._offsets
-        for k in range(len(offsets) - 1):
-            chunk = slice(offsets[k], offsets[k + 1])
-            # Targets within one iteration are distinct nodes, so fancy-index
-            # addition is safe; sources read from the round-start snapshot.
-            accumulator[targets[chunk]] += values[sources[chunk]]
-        return accumulator
+    out = np.array(base, dtype=np.float64)
+    # Python float addition overflows to inf (and inf + -inf gives NaN)
+    # silently; so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(out, rows, values)
+    return out

@@ -2,22 +2,23 @@
 
 Where :class:`~repro.congest.engine.BatchedEngine` vectorizes *delivery*
 around per-node Python handler calls, :class:`KernelEngine` removes the
-node loop entirely for the algorithms it knows: each round becomes a
-handful of CSR segment reductions producing the same outputs and the same
-:class:`~repro.congest.metrics.RunMetrics` by analytic accounting
+node loop entirely for the algorithms it knows: each algorithm's program
+(:data:`repro.congest.kernels.KERNELS`) runs every round as a handful of CSR
+segment operations under the driver in :mod:`repro.congest.kernels.faults`,
+producing the same outputs and the same
+:class:`~repro.congest.metrics.RunMetrics`
 (``tests/congest/test_kernel_parity.py`` holds it byte-identical to the
 reference engine).
 
 Dispatch is by *exact* algorithm type -- a subclass that overrides any
-round behavior must register its own kernel -- and algorithms without a
-kernel fall back to the batched engine transparently (fault hooks and all),
-so ``engine="kernel"`` is always safe to select.  Fault-injection hooks run
-on the kernel tier itself: the compiled
-:class:`~repro.faults.session.FaultSession` is applied as per-round NumPy
-masks by the driver in :mod:`repro.congest.kernels.faults`, byte-identical
-to the per-node engines under the same plan.  ``RunMetrics.engine_used``
-records which tier actually executed, so a fallback can never masquerade as
-a kernel run.
+round behavior must register its own program -- and algorithms without one
+fall back to the batched engine transparently (fault hooks and all), so
+``engine="kernel"`` is always safe to select.  Fault-injection hooks run on
+the kernel tier itself: the same driver applies the compiled
+:class:`~repro.faults.session.FaultSession` as per-round NumPy masks,
+byte-identical to the per-node engines under the same plan.
+``RunMetrics.engine_used`` records which tier actually executed, so a
+fallback can never masquerade as a kernel run.
 """
 
 from __future__ import annotations

@@ -1,17 +1,11 @@
-"""Vectorized fault application for the kernel execution tier.
+"""The round loop every kernel program runs under, faulted or not.
 
-The analytic kernels in this package exploit the *absence* of faults: with
-every message delivered next round, each algorithm's whole schedule is known
-in advance and rounds collapse into closed-form array updates.  A
-:class:`~repro.faults.plan.FaultPlan` breaks that premise -- crashes, drops,
-latency, and churn make delivery data-dependent -- so faulted kernel runs
-instead execute a *driver*: an explicit round loop whose per-round work is
-still pure array programs over the :class:`~repro.congest.kernels.grid.KernelGrid`.
-
-The driver mirrors ``Engine._execute_hooked`` (the reference/batched hook
-loop) exactly, but node sets are boolean masks and message traffic lives in
-a columnar mailbox (five parallel arrays per emission batch) instead of
-per-node dicts:
+Each kerneled algorithm is one *program*: an explicit round loop whose
+per-round work is whole-graph array code over the
+:class:`~repro.congest.kernels.grid.KernelGrid`.  :class:`FaultedRun` drives
+it.  The driver mirrors ``Engine._execute_hooked`` (the reference/batched
+hook loop) exactly, but node sets are boolean masks and message traffic
+lives in a columnar mailbox instead of per-node dicts:
 
 * :class:`FaultedRun` owns the loop, the mailbox, and the emission helpers
   (broadcast / single-target unicast / the interleaved neighborhood send of
@@ -22,10 +16,11 @@ per-node dicts:
   and the session's crash masks -- the same compiled schedule the per-node
   engines consume, so a fixed ``(plan, graph, seed)`` reproduces the exact
   byte-level execution across all three tiers.
-* :class:`NullHooks` is the no-fault stand-in: driver-only kernels (the
-  LW randomized and unknown-parameters variants have no analytic closed
-  form) run under it for plain executions, and zero-fault parity pins them
-  to the reference engine.
+* :class:`NullHooks` is the no-fault stand-in every plain run uses.  With
+  no edge fates a broadcast is never expanded into per-edge entries: it is
+  delivered as a :class:`NeighborhoodInbox` (the sender mask plus the
+  payload columns), whose operators are CSR segment operations over the
+  grid.  So a plain run never pays for per-edge entries.
 
 Message payloads are encoded as a per-entry ``kind`` code plus one integer
 and one float column; every payload any kerneled algorithm sends fits this
@@ -33,16 +28,17 @@ shape (``{"weight": w, "closed_degree": d}`` uses both columns).  Inbox
 semantics replicate the reference engine's dict assembly: per ``(receiver,
 sender)`` pair the *first* arrival fixes the position and the *last* fixes
 the value, and per-receiver entries are ordered by arrival position -- the
-order the primal-dual float folds observe.
+order the primal-dual float sums observe.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.congest.errors import BandwidthViolation, NonConvergenceError
+from repro.congest.kernels.csr import ordered_row_sum
 from repro.congest.metrics import RoundMetrics, RunMetrics
 
 __all__ = [
@@ -60,6 +56,7 @@ __all__ = [
     "KIND_DOMINATED",
     "NullHooks",
     "Inbox",
+    "NeighborhoodInbox",
     "FaultedRun",
     "run_program",
 ]
@@ -83,10 +80,10 @@ KIND_DOMINATED = 11  # {"dominated": bool(ival)}
 class NullHooks:
     """The empty hook set: no faults, every edge delivers next round.
 
-    Driver-based kernels run under this object when no fault plan is
-    attached; the driver then behaves exactly like the reference engine's
-    plain round loop (``stop_at_limit`` off, ``NonConvergenceError`` without
-    the pending-node list, no per-round fault metrics).
+    Programs run under this object when no fault plan is attached; the
+    driver then behaves exactly like the reference engine's plain round loop
+    (``stop_at_limit`` off, ``NonConvergenceError`` without the pending-node
+    list, no per-round fault metrics), and broadcasts stay unexpanded.
     """
 
     stop_at_limit = False
@@ -129,8 +126,7 @@ class Inbox:
 
     def any_truthy(self, kind_code: int) -> np.ndarray:
         """Per-node: any entry of ``kind_code`` with a truthy value."""
-        mask = (self.kind == kind_code) & (self.ival != 0)
-        return np.bincount(self.recv[mask], minlength=self.n) > 0
+        return self.count_truthy(kind_code) > 0
 
     def count_truthy(self, kind_code: int) -> np.ndarray:
         """Per-node count of truthy entries of ``kind_code``."""
@@ -140,39 +136,137 @@ class Inbox:
     def ordered_float_sum(self, kind_codes, base: np.ndarray) -> np.ndarray:
         """``base[v] + fval`` summed over matching entries in inbox order.
 
-        Replays the reference engine's left-to-right float accumulation:
-        iteration ``k`` adds every receiver's ``k``-th matching entry in one
-        scatter.  Entries of other kinds contribute ``payload.get("x", 0.0)
-        == 0.0``, which is exact, so they are simply skipped.  Visiting
-        receivers in descending entry-count order makes each iteration a
-        prefix slice, so total work stays linear in the entry count instead
-        of ``entries * max_count``.
+        Replays the reference engine's left-to-right float accumulation.
+        Entries of other kinds contribute ``payload.get("x", 0.0) == 0.0``
+        in the reference loop, which leaves every sum unchanged, so they are
+        left out.
         """
-        mask = self.kind == kind_codes[0]
-        for code in kind_codes[1:]:
-            mask |= self.kind == code
-        recv = self.recv[mask]
-        values = self.fval[mask]
-        out = base.astype(np.float64, copy=True)
-        if recv.size:
-            starts = np.flatnonzero(np.r_[True, recv[1:] != recv[:-1]])
-            lengths = np.diff(np.r_[starts, recv.size])
-            by_count = np.argsort(-lengths, kind="stable")
-            starts = starts[by_count]
-            neg_lengths = -lengths[by_count]
-            max_len = int(lengths.max())
-            live = np.searchsorted(neg_lengths, -np.arange(max_len), side="left")
-            for k, prefix in enumerate(live.tolist()):
-                # Receivers with a k-th entry form a prefix of the
-                # count-descending order; one scatter hits each exactly once,
-                # so per-slot adds still happen strictly left to right.
-                idx = starts[:prefix] + k
-                out[recv[idx]] += values[idx]
+        entries = np.isin(self.kind, kind_codes)
+        return ordered_row_sum(self.recv[entries], self.fval[entries], base)
+
+    def received_edges(self, kind_code: int, run) -> np.ndarray:
+        """Per directed edge ``v -> u`` of ``run.grid``: did ``v`` receive a
+        ``kind_code`` entry from ``u``?"""
+        received = np.zeros(len(run.grid.indices), dtype=bool)
+        hit = self.kind == kind_code
+        if hit.any():
+            received[run.edge_positions(self.recv[hit], self.send[hit])] = True
+        return received
+
+
+class _Broadcast(NamedTuple):
+    """An unexpanded fault-free broadcast in the mailbox.
+
+    ``sent`` is the mask of senders with at least one neighbor; ``ival`` and
+    ``fval`` are per-node copies of the payload columns taken at send time
+    (``None``: a constant truthy flag / zero float).
+    """
+
+    sent: np.ndarray
+    kind: int
+    ival: Optional[np.ndarray]
+    fval: Optional[np.ndarray]
+
+    def columns(self, grid, receiving=None):
+        """The batch as ``(recv, send, kind, ival, fval)`` in inbox order.
+
+        The grid is symmetric with ascending rows, so receiver ``v``'s row
+        lists exactly the senders whose broadcast reaches ``v``, in the
+        order the reference inbox inserts them.  ``receiving`` keeps only
+        the entries into those nodes.
+        """
+        on_edge = self.sent[grid.indices]
+        if receiving is not None:
+            on_edge &= receiving[grid.edge_src]
+        entries = np.flatnonzero(on_edge)
+        send = grid.indices[entries]
+        size = entries.size
+        return (
+            grid.edge_src[entries],
+            send,
+            np.full(size, self.kind, np.int64),
+            np.ones(size, np.int64) if self.ival is None else self.ival[send],
+            np.zeros(size, np.float64) if self.fval is None else self.fval[send],
+        )
+
+
+class NeighborhoodInbox:
+    """A fault-free broadcast delivered whole: every ``acting`` node
+    received the payload from each neighbor in ``batch.sent``.
+
+    Same interface as :class:`Inbox`.  The operators are CSR segment
+    operations over the grid, masked by ``acting``; the entry columns are
+    expanded on first read, for code that reads them.
+    """
+
+    __slots__ = ("grid", "batch", "acting", "_expanded")
+
+    def __init__(self, grid, batch: _Broadcast, acting: np.ndarray):
+        self.grid = grid
+        self.batch = batch
+        self.acting = acting
+        self._expanded: Optional[Inbox] = None
+
+    def expanded(self) -> Inbox:
+        """The same entries as an :class:`Inbox` (built once)."""
+        if self._expanded is None:
+            columns = self.batch.columns(self.grid, self.acting)
+            self._expanded = Inbox(self.grid.n, *columns)
+        return self._expanded
+
+    recv = property(lambda self: self.expanded().recv)
+    send = property(lambda self: self.expanded().send)
+    kind = property(lambda self: self.expanded().kind)
+    ival = property(lambda self: self.expanded().ival)
+    fval = property(lambda self: self.expanded().fval)
+
+    def any_truthy(self, kind_code: int) -> np.ndarray:
+        """Per-node: any entry of ``kind_code`` with a truthy value."""
+        return self.count_truthy(kind_code) > 0
+
+    def count_truthy(self, kind_code: int) -> np.ndarray:
+        """Per-node count of truthy entries of ``kind_code``.
+
+        Counted from the sender side: a broadcast reaches the nodes in its
+        sender's row, so the truthy senders' rows list every receipt.
+        """
+        grid, batch = self.grid, self.batch
+        if batch.kind != kind_code:
+            return np.zeros(grid.n, dtype=np.int64)
+        truthy = batch.sent if batch.ival is None else batch.sent & (batch.ival != 0)
+        receipts = grid.indices[np.repeat(truthy, grid.degrees)]
+        return np.where(self.acting, np.bincount(receipts, minlength=grid.n), 0)
+
+    def ordered_float_sum(self, kind_codes, base: np.ndarray) -> np.ndarray:
+        """:meth:`Inbox.ordered_float_sum` over the grid's receiver rows."""
+        grid, batch = self.grid, self.batch
+        if batch.kind not in kind_codes:
+            return np.array(base, dtype=np.float64)
+        rows, senders = grid.edge_src, grid.indices
+        if not (batch.sent | (grid.degrees == 0)).all():
+            # Non-senders are dropped from the rows, not added as 0.0.
+            on_edge = batch.sent[senders]
+            rows, senders = rows[on_edge], senders[on_edge]
+        values = batch.fval[senders] if batch.fval is not None else np.zeros(len(rows))
+        out = ordered_row_sum(rows, values, base)
+        idle = ~self.acting
+        if idle.any():
+            out[idle] = base[idle]
         return out
+
+    def received_edges(self, kind_code: int, run) -> np.ndarray:
+        """:meth:`Inbox.received_edges` without expanding the entries."""
+        grid, batch = self.grid, self.batch
+        if batch.kind != kind_code:
+            return np.zeros(len(grid.indices), dtype=bool)
+        received = batch.sent[grid.indices]
+        if not self.acting.all():
+            received &= self.acting[grid.edge_src]
+        return received
 
 
 class FaultedRun:
-    """Round-loop driver for kernels executing under fault hooks.
+    """Round-loop driver for kernel programs, under fault hooks or none.
 
     Owns the mailbox and all emission/accounting; a *program* object supplies
     the per-round state transition (``finished`` mask, ``step``, ``outputs``).
@@ -185,11 +279,6 @@ class FaultedRun:
         self.strict = strict
         self.metrics = metrics
         self.round_metrics: Optional[RoundMetrics] = None
-        n = grid.n
-        self.edge_src = np.repeat(np.arange(n, dtype=np.int64), grid.degrees)
-        # src * n + dst is strictly increasing over the CSR edge order, so
-        # (src, dst) -> edge position is a single searchsorted.
-        self._edge_keys = self.edge_src * n + grid.indices
         self._mail: dict = {}
         self._fates_round = -1
         self._fates: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
@@ -202,7 +291,7 @@ class FaultedRun:
 
     def edge_positions(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """CSR edge positions of the directed edges ``src -> dst``."""
-        return np.searchsorted(self._edge_keys, src * self.grid.n + dst)
+        return np.searchsorted(self.grid.edge_keys, src * self.grid.n + dst)
 
     def _edge_fates(self, round_index: int):
         if self._fates_round != round_index:
@@ -219,10 +308,18 @@ class FaultedRun:
             )
 
     def _collect(self, round_index, crashed_now, acting):
-        """Assemble this round's inbox; returns ``(Inbox | None, dropped)``."""
+        """Assemble this round's inbox; returns ``(inbox | None, dropped)``."""
         batches = self._mail.pop(round_index, None)
         if not batches:
             return None, 0
+        whole = len(batches) == 1 and isinstance(batches[0], _Broadcast)
+        if whole and (crashed_now is None or not crashed_now.any()):
+            return NeighborhoodInbox(self.grid, batches[0], acting), 0
+        # Crashes, latency or a mixed round: expand to entry columns.
+        batches = [
+            batch.columns(self.grid) + (True,) if isinstance(batch, _Broadcast) else batch
+            for batch in batches
+        ]
         multi = len(batches) > 1
         if multi:
             recv = np.concatenate([batch[0] for batch in batches])
@@ -287,6 +384,15 @@ class FaultedRun:
         rm.bits += int(bits) * kept_count
         if int(bits) > rm.max_message_bits:
             rm.max_message_bits = int(bits)
+
+    def _account_per_sender(self, counts, bits):
+        """Accounting for ``counts[v]`` messages of ``bits[v]`` bits per node."""
+        rm = self.round_metrics
+        rm.messages += int(counts.sum())
+        rm.bits += int(bits @ counts)
+        largest = int(bits[counts > 0].max())
+        if largest > rm.max_message_bits:
+            rm.max_message_bits = largest
 
     def _deliver(self, round_index, kept_edges, recv, send, kind, ival, fval,
                  by_recv=False):
@@ -359,9 +465,25 @@ class FaultedRun:
                         self.budget,
                         round_index=round_index,
                     )
+        keep, delays = self._edge_fates(round_index)
+        if keep is None and delays is None:
+            # Nothing can fail: account from degree sums and leave the batch
+            # unexpanded, with the payload columns copied at send time.
+            if scalar_bits:
+                self._account_kept(int(degrees[effective].sum()), bits)
+            else:
+                self._account_per_sender(np.where(effective, degrees, 0), bits)
+            self._mail.setdefault(round_index + 1, []).append(
+                _Broadcast(
+                    effective,
+                    kind,
+                    None if values is None else values.copy(),
+                    None if fvalues is None else fvalues.copy(),
+                )
+            )
+            return
         mask = np.repeat(effective, degrees)
         emitted = int(mask.sum())
-        keep, _ = self._edge_fates(round_index)
         if keep is not None:
             mask &= keep
         if self._recv_order is None:
@@ -373,17 +495,11 @@ class FaultedRun:
         self.round_metrics.dropped_messages += int(emitted - kept.size)
         if not kept.size:
             return
-        src = self.edge_src[kept]
+        src = grid.edge_src[kept]
         if scalar_bits:
             self._account_kept(int(kept.size), bits)
         else:
-            counts = np.bincount(src, minlength=grid.n)
-            rm = self.round_metrics
-            rm.messages += int(kept.size)
-            rm.bits += int(bits @ counts)
-            largest = int(bits[counts > 0].max())
-            if largest > rm.max_message_bits:
-                rm.max_message_bits = largest
+            self._account_per_sender(np.bincount(src, minlength=grid.n), bits)
         size = kept.size
         ival = np.ones(size, np.int64) if values is None else values[src]
         fval = np.zeros(size, np.float64) if fvalues is None else fvalues[src]
@@ -411,19 +527,18 @@ class FaultedRun:
                 self.budget,
                 round_index=round_index,
             )
-        edges = self.edge_positions(senders_idx, targets_idx)
-        keep, _ = self._edge_fates(round_index)
-        mask = None if keep is None else keep[edges]
-        if mask is not None:
-            kept_edges = edges[mask]
-            src, dst = senders_idx[mask], targets_idx[mask]
-        else:
-            kept_edges, src, dst = edges, senders_idx, targets_idx
-        self.round_metrics.dropped_messages += int(edges.size - kept_edges.size)
-        if not kept_edges.size:
+        keep, delays = self._edge_fates(round_index)
+        kept_edges, src, dst = None, senders_idx, targets_idx
+        if keep is not None or delays is not None:
+            kept_edges = self.edge_positions(senders_idx, targets_idx)
+            if keep is not None:
+                mask = keep[kept_edges]
+                kept_edges, src, dst = kept_edges[mask], src[mask], dst[mask]
+        self.round_metrics.dropped_messages += int(senders_idx.size - src.size)
+        if not src.size:
             return
-        self._account_kept(int(kept_edges.size), bits)
-        size = kept_edges.size
+        self._account_kept(int(src.size), bits)
+        size = src.size
         self._deliver(
             round_index,
             kept_edges,
@@ -513,7 +628,7 @@ class FaultedRun:
         largest = int(kept_bits.max())
         if largest > rm.max_message_bits:
             rm.max_message_bits = largest
-        src = self.edge_src[kept]
+        src = grid.edge_src[kept]
         self._deliver(
             round_index,
             kept,
@@ -572,12 +687,21 @@ class FaultedRun:
         return program.outputs()
 
 
-def run_program(grid, hooks, program, *, budget, limit, strict):
-    """Execute one driver-based kernel program; returns ``(outputs, metrics)``."""
+def run_program(
+    program, grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None
+):
+    """Build ``program`` on ``grid`` and drive it to completion.
+
+    ``program`` is a :data:`~repro.congest.kernels.KERNELS` entry, built as
+    ``program(grid, config, algorithm, seed, grid.n)``; ``hooks`` is a
+    compiled :class:`~repro.faults.session.FaultSession` or ``None`` for a
+    plain run.  Returns ``(outputs, RunMetrics)``.
+    """
+    state = program(grid, config, algorithm, seed, grid.n)
     metrics = RunMetrics(bandwidth_budget_bits=budget)
     driver = FaultedRun(
         grid, hooks if hooks is not None else NullHooks(), budget=budget,
         strict=strict, metrics=metrics,
     )
-    outputs = driver.run(program, limit)
+    outputs = driver.run(state, limit)
     return outputs, metrics

@@ -1,9 +1,9 @@
 """The flattened graph view the algorithm kernels execute against.
 
 A :class:`KernelGrid` is pure topology plus node weights: the CSR arrays,
-the degree vector, and -- lazily, because only tie-breaking paths need them
--- the ``repr``-order machinery that reproduces the algorithms' deterministic
-tie-breaks, and the order-exact float fold.  It deliberately knows nothing
+the degree vector, and -- lazily, because only some paths need them -- the
+``repr``-order machinery that reproduces the algorithms' deterministic
+tie-breaks and the directed-edge index.  It deliberately knows nothing
 about a run's configuration (``alpha``, ``max_degree`` knowledge, budgets),
 so one grid is shared by every execution on the same graph:
 
@@ -21,8 +21,6 @@ from itertools import islice
 from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
-
-from repro.congest.kernels.csr import SequentialNeighborFold
 
 __all__ = ["KernelGrid", "grid_from_network", "grid_from_csr", "output_dicts"]
 
@@ -45,7 +43,8 @@ class KernelGrid:
         "_first_neighbor",
         "_reprs",
         "_repr_rank",
-        "_fold",
+        "_edge_src",
+        "_edge_keys",
     )
 
     def __init__(
@@ -65,7 +64,8 @@ class KernelGrid:
         self._first_neighbor = first_neighbor
         self._reprs: Optional[np.ndarray] = None
         self._repr_rank: Optional[np.ndarray] = None
-        self._fold: Optional[SequentialNeighborFold] = None
+        self._edge_src: Optional[np.ndarray] = None
+        self._edge_keys: Optional[np.ndarray] = None
 
     # -- tie-break machinery (lazy; only tie-breaking code paths pay) ------
 
@@ -95,12 +95,27 @@ class KernelGrid:
             self._repr_rank = rank
         return self._repr_rank
 
+    # -- directed-edge index (lazy; only per-edge delivery paths pay) -------
+
     @property
-    def fold(self) -> SequentialNeighborFold:
-        """The order-exact closed-neighborhood float fold (built once)."""
-        if self._fold is None:
-            self._fold = SequentialNeighborFold(self.indptr, self.indices)
-        return self._fold
+    def edge_src(self) -> np.ndarray:
+        """Row (source node) of every directed edge, aligned with ``indices``."""
+        if self._edge_src is None:
+            self._edge_src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        return self._edge_src
+
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """``src * n + dst`` of every directed edge, strictly increasing.
+
+        Sorted rows make the keys ascending over the CSR edge order, so the
+        position of ``src -> dst`` is a single ``searchsorted``.  (A
+        shard-local grid's rows follow *global* order instead; the sharded
+        runtime keeps its own permuted index.)
+        """
+        if self._edge_keys is None:
+            self._edge_keys = self.edge_src * self.n + self.indices
+        return self._edge_keys
 
     # -- error-path helpers ------------------------------------------------
 

@@ -1,13 +1,11 @@
-"""Driver-based kernels for the nomination and unknown-parameters solvers.
+"""Kernel programs for the nomination and unknown-parameters solvers.
 
-:class:`~repro.baselines.lenzen_wattenhofer.LWRandomizedAlgorithm` and
-:class:`~repro.core.unknown_params.UnknownDegreeMDSAlgorithm` have no
-analytic closed form: the randomized baseline consults per-node RNG streams
-and the Remark 4.4 variant interleaves its partial and extension phases with
-data-dependent finishing.  Both are still node-loop-free per round, so they
-run as *programs* under the :mod:`repro.congest.kernels.faults` driver --
-the same vectorized round loop that applies fault plans -- with
-:class:`~repro.congest.kernels.faults.NullHooks` standing in on plain runs.
+:class:`~repro.baselines.lenzen_wattenhofer.LWRandomizedAlgorithm` consults
+per-node RNG streams, and :class:`~repro.core.unknown_params.\
+UnknownDegreeMDSAlgorithm` (Remark 4.4) interleaves its partial and
+extension phases with data-dependent finishing.  Both are still
+node-loop-free per round, and run under the
+:mod:`repro.congest.kernels.faults` driver like every other program.
 
 The only per-node Python left is the randomized baseline's coin flips: the
 reference engine draws from ``random.Random(f"{seed}:{node_id!r}")`` streams
@@ -33,16 +31,15 @@ from repro.congest.kernels.faults import (
     KIND_WEIGHT_CD,
     KIND_X,
     KIND_X_SELECTED,
-    run_program,
 )
 from repro.congest.kernels.grid import output_dicts
 from repro.congest.message import word_size_bits
 from repro.core.partial import theorem11_lambda
 
-__all__ = ["lw_randomized_kernel", "unknown_degree_kernel"]
+__all__ = ["LWRandomizedProgram", "UnknownDegreeProgram"]
 
 
-class _FaultedLWRandomized:
+class LWRandomizedProgram:
     """Four-round nomination phases of the LW randomized baseline."""
 
     @staticmethod
@@ -154,20 +151,8 @@ class _FaultedLWRandomized:
         )
 
 
-def lw_randomized_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
-    """Execute the LW-style randomized nomination baseline (driver-based)."""
-    return run_program(
-        grid,
-        hooks,
-        _FaultedLWRandomized(grid, config, algorithm, seed, grid.n),
-        budget=budget,
-        limit=limit,
-        strict=strict,
-    )
-
-
-class _FaultedUnknownDegree:
-    """Remark 4.4 (unknown ``Delta``) as a driver program.
+class UnknownDegreeProgram:
+    """Remark 4.4 (unknown ``Delta``) as a kernel program.
 
     The A/B/C iteration rounds become masked array updates; the per-edge
     ``neighbor_dominated`` latch and the received-weight table live as
@@ -373,15 +358,3 @@ class _FaultedUnknownDegree:
             },
             count,
         )
-
-
-def unknown_degree_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
-    """Execute the Remark 4.4 unknown-``Delta`` variant (driver-based)."""
-    return run_program(
-        grid,
-        hooks,
-        _FaultedUnknownDegree(grid, config, algorithm, seed, grid.n),
-        budget=budget,
-        limit=limit,
-        strict=strict,
-    )

@@ -1,4 +1,4 @@
-"""Node-loop-free kernel for the Theorem 1.1 / 3.1 primal-dual algorithms.
+"""The kernel program for the Theorem 1.1 / 3.1 primal-dual algorithms.
 
 This executes :class:`~repro.core.weighted.WeightedMDSAlgorithm` (and its
 unit-weight wrapper :class:`~repro.core.unweighted.UnweightedMDSAlgorithm`)
@@ -6,30 +6,30 @@ as whole-graph array programs over the CSR layout, replaying the
 :class:`~repro.core.partial.PrimalDualBase` round schedule exactly:
 
 ==============================  ============================================
-round                           kernel operation
+round                           program operation
 ==============================  ============================================
 0                               weight broadcast (per-node integer bits)
-1 (when ``r > 0``)              ``tau`` = closed-neighborhood min (segment
-                                min), ``x = tau/(Delta+1)``, x-broadcast
+1 (when ``r > 0``)              ``tau`` = min over the received weights
+                                (per-edge mask + segment min),
+                                ``x = tau/(Delta+1)``, x-broadcast
 2i (decide)                     ``X_v`` = order-exact closed-neighborhood
-                                fold of ``x``; joiners announce (1 bit)
+                                sum of ``x``; joiners announce (1 bit)
 2i+1 (increase)                 absorb joins (segment any), ``x *= 1+eps``
                                 on the undominated, x-broadcast
 2r+1 (finalize)                 last absorb+increase; undominated nodes
-                                pick the cheapest closed-neighborhood
-                                member (segment min + repr-rank argmin)
-                                and unicast "selected" (1 bit)
+                                pick the cheapest received closed-
+                                neighborhood member (segment min +
+                                repr-rank argmin) and unicast "selected"
 2r+2 (extension)                selected nodes join; everyone finishes
 ==============================  ============================================
 
 Byte-identity with the reference engine is the contract, not an
 aspiration: the decide rounds accumulate floating point packing values, so
-``X_v`` is computed with :class:`~repro.congest.kernels.csr.\
-SequentialNeighborFold` -- the exact left-to-right inbox fold -- rather
-than any reduction that could round differently.  The setup-time
-validation errors (unit weights, unknown ``Delta``, unresolvable
-``lambda``) are raised in the same precedence order as the per-node
-``setup`` loop.
+``X_v`` is computed with :func:`~repro.congest.kernels.csr.ordered_row_sum`
+-- the exact left-to-right inbox fold -- rather than any reduction that
+could round differently.  The setup-time validation errors (unit weights,
+unknown ``Delta``, unresolvable ``lambda``) are raised in the same
+precedence order as the per-node ``setup`` loop.
 """
 
 from __future__ import annotations
@@ -38,29 +38,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.congest.errors import NonConvergenceError
-from repro.congest.kernels.accounting import account_broadcasts
-from repro.congest.kernels.csr import (
-    int_bit_lengths,
-    segment_any,
-    segment_min,
-    segment_min_argrank,
-    segment_sum,
-)
-from repro.congest.kernels.faults import (
-    KIND_JOINED_S,
-    KIND_SELECTED,
-    KIND_WEIGHT,
-    KIND_X,
-    run_program,
-)
+from repro.congest.kernels.csr import int_bit_lengths, segment_min, segment_min_argrank
+from repro.congest.kernels.faults import KIND_JOINED_S, KIND_SELECTED, KIND_WEIGHT, KIND_X
 from repro.congest.kernels.grid import output_dicts
 from repro.congest.message import word_size_bits
-from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.core.partial import partial_iteration_count
 
-__all__ = ["primal_dual_kernel"]
+__all__ = ["PrimalDualProgram"]
 
+#: Stand-in for "no weight received" in the per-edge weight table.
+_NO_WEIGHT = np.iinfo(np.int64).max
 _UNIT_WEIGHT_MESSAGE = (
     "UnweightedMDSAlgorithm requires unit weights; "
     "use WeightedMDSAlgorithm for weighted instances"
@@ -100,161 +87,12 @@ def _validated_schedule(grid, config, algorithm):
     return max_degree, finalize_round
 
 
-def primal_dual_kernel(grid, config, algorithm, *, budget, limit, strict, seed=None, hooks=None):
-    """Execute a Weighted/Unweighted MDS instance; see module docstring."""
-    if hooks is not None:
-        program = _FaultedPrimalDual(grid, config, algorithm, seed, grid.n)
-        return run_program(
-            grid, hooks, program, budget=budget, limit=limit, strict=strict
-        )
-    metrics = RunMetrics(bandwidth_budget_bits=budget)
-    n = grid.n
-    if n == 0:
-        return {}, metrics
-    weights = grid.weights
-    max_degree, finalize_round = _validated_schedule(grid, config, algorithm)
-    epsilon = algorithm.epsilon
-    total_rounds = finalize_round + 2
+class PrimalDualProgram:
+    """Round-by-round Weighted/Unweighted MDS.
 
-    indptr, indices, degrees = grid.indptr, grid.indices, grid.degrees
-    float_bits = 2 * word_size_bits(max(2, n))
-    weight_bits = np.maximum(1, int_bit_lengths(weights) + 1)
-    one_plus_eps = 1.0 + epsilon
-    # The join threshold w_v / (1 + eps): int -> float64 conversion and the
-    # division are both exact/correctly-rounded, identical to Python's.
-    join_threshold = weights / one_plus_eps
-
-    tau = np.empty(n, dtype=np.int64)
-    x = np.zeros(n, dtype=np.float64)
-    x_partial = np.zeros(n, dtype=np.float64)
-    in_s = np.zeros(n, dtype=bool)
-    in_s_prime = np.zeros(n, dtype=bool)
-    dominated = np.zeros(n, dtype=bool)
-    dominated_at_partial = np.zeros(n, dtype=bool)
-    increase_count = np.zeros(n, dtype=np.int64)
-    selected = np.zeros(n, dtype=bool)
-    joined_previous = np.zeros(n, dtype=bool)
-
-    def initialise_packing():
-        # tau_v = min over the closed neighborhood of the exchanged weights;
-        # x_v = tau_v / (Delta + 1) matches Python's correctly rounded
-        # int/int true division for any weights below 2**53.
-        neighbor_min = segment_min(
-            indptr, weights[indices], empty=np.iinfo(np.int64).max
-        )
-        np.minimum(weights, neighbor_min, out=tau)
-        np.divide(tau, float(max_degree + 1), out=x)
-
-    def absorb_and_increase():
-        if joined_previous.any():
-            dominated[segment_any(indptr, joined_previous[indices])] = True
-        undominated = ~dominated
-        x[undominated] *= one_plus_eps
-        increase_count[undominated] += 1
-
-    for round_index in range(total_rounds):
-        # Every node stays active until the extension round, so the
-        # reference loop's limit check sees all n nodes pending.
-        if round_index >= limit:
-            raise NonConvergenceError(rounds=round_index, pending=n)
-        round_metrics = RoundMetrics(round_index=round_index, active_nodes=n)
-
-        if round_index == 0:
-            account_broadcasts(
-                round_metrics, grid, None, weight_bits,
-                budget=budget, strict=strict, round_index=round_index,
-            )
-        elif round_index == 1 and finalize_round != 1:
-            initialise_packing()
-            account_broadcasts(
-                round_metrics, grid, None, float_bits,
-                budget=budget, strict=strict, round_index=round_index,
-            )
-        elif round_index < finalize_round:
-            if round_index % 2 == 0:
-                # Decide round (P2): the order-exact fold is the load X_v.
-                load = grid.fold.fold(x)
-                joining = (~in_s) & (load >= join_threshold)
-                in_s |= joining
-                dominated |= joining
-                account_broadcasts(
-                    round_metrics, grid, joining, 1,
-                    budget=budget, strict=strict, round_index=round_index,
-                )
-                joined_previous = joining
-            else:
-                # Increase round (P1): absorb, raise x, re-broadcast.
-                absorb_and_increase()
-                account_broadcasts(
-                    round_metrics, grid, None, float_bits,
-                    budget=budget, strict=strict, round_index=round_index,
-                )
-        elif round_index == finalize_round:
-            if finalize_round == 1:
-                initialise_packing()
-            else:
-                absorb_and_increase()
-            np.copyto(x_partial, x)
-            np.copyto(dominated_at_partial, dominated)
-            # Extension start: every undominated node selects the cheapest
-            # member of N+(v) (self on ties); remote selections are one-bit
-            # unicasts delivered next round.
-            undominated = ~dominated
-            if undominated.any():
-                neighbor_min = segment_min(
-                    indptr, weights[indices], empty=np.iinfo(np.int64).max
-                )
-                remote = undominated & (neighbor_min < weights)
-                joins_self = undominated & ~remote
-                in_s_prime |= joins_self
-                dominated |= joins_self
-                sender_count = int(remote.sum())
-                if sender_count:
-                    min_rank = segment_min_argrank(
-                        indptr, weights[indices], grid.repr_rank[indices],
-                        neighbor_min,
-                    )
-                    node_by_rank = np.argsort(grid.repr_rank, kind="stable")
-                    targets = node_by_rank[min_rank[remote]]
-                    selected = np.bincount(targets, minlength=n) > 0
-                    round_metrics.messages += sender_count
-                    round_metrics.bits += sender_count
-                    if round_metrics.max_message_bits < 1:
-                        round_metrics.max_message_bits = 1
-        else:
-            # Extension round: selected nodes join; everyone finishes.
-            in_s_prime |= selected
-            dominated |= selected
-
-        metrics.record(round_metrics)
-
-    in_ds = in_s | in_s_prime
-    outputs = output_dicts(
-        grid.node_order,
-        {
-            # Field order matters: result_bytes pickles the output dicts,
-            # and pickle preserves insertion order.
-            "in_ds": in_ds.tolist(),
-            "in_partial": in_s.tolist(),
-            "in_extension": in_s_prime.tolist(),
-            "dominated_by_partial": dominated_at_partial.tolist(),
-            "x_partial": x_partial.tolist(),
-            "x": x.tolist(),
-            "tau": tau.tolist(),
-            "increase_count": increase_count.tolist(),
-            "fallback_join": [False] * n,
-        },
-    )
-    return outputs, metrics
-
-
-class _FaultedPrimalDual:
-    """Round-by-round Weighted/Unweighted MDS for the faulted driver.
-
-    State that the closed form derives analytically (``tau``, the packing
-    values, the received-weight table behind the cheapest-dominator pick)
-    becomes explicit per-node/per-edge arrays here, because a crashed or
-    silenced neighbor changes what each node actually received.
+    ``tau``, the packing values and the received-weight table behind the
+    cheapest-dominator pick are explicit per-node/per-edge arrays, because a
+    crashed or silenced neighbor changes what each node actually received.
     """
 
     @staticmethod
@@ -293,17 +131,18 @@ class _FaultedPrimalDual:
         self.got_weight = np.zeros(len(grid.indices), dtype=bool)
         self.finished = np.zeros(n, dtype=bool)
 
+    def _received_weights(self):
+        """Per edge ``v -> u``: ``w_u`` if ``v`` received it, else a sentinel."""
+        grid = self.grid
+        return np.where(self.got_weight, self.weights[grid.indices], _NO_WEIGHT)
+
     def _initialise(self, acting, inbox, run):
-        n = self.grid.n
-        candidate_min = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         if inbox is not None:
-            mask = inbox.kind == KIND_WEIGHT
-            receivers = inbox.recv[mask]
-            if receivers.size:
-                edges = run.edge_positions(receivers, inbox.send[mask])
-                self.got_weight[edges] = True
-                np.minimum.at(candidate_min, receivers, inbox.ival[mask])
-        tau_new = np.minimum(self.weights, candidate_min)
+            self.got_weight |= inbox.received_edges(KIND_WEIGHT, run)
+        neighbor_min = segment_min(
+            self.grid.indptr, self._received_weights(), empty=_NO_WEIGHT
+        )
+        tau_new = np.minimum(self.weights, neighbor_min)
         self.tau[acting] = tau_new[acting]
         self.has_tau |= acting
         x_new = tau_new / float(self.max_degree + 1)
@@ -322,9 +161,8 @@ class _FaultedPrimalDual:
         undominated = acting & ~self.dominated
         if not undominated.any():
             return
-        sentinel = np.iinfo(np.int64).max
-        received = np.where(self.got_weight, self.weights[grid.indices], sentinel)
-        neighbor_min = segment_min(grid.indptr, received, empty=sentinel)
+        received = self._received_weights()
+        neighbor_min = segment_min(grid.indptr, received, empty=_NO_WEIGHT)
         remote = undominated & (neighbor_min < self.weights)
         joins_self = undominated & ~remote
         self.in_s_prime |= joins_self
@@ -351,7 +189,7 @@ class _FaultedPrimalDual:
             return
         if round_index < finalize:
             if round_index % 2 == 0:
-                # Decide round (P2): the order-exact inbox fold is the load.
+                # Decide round (P2): the order-exact inbox sum is the load.
                 load = (
                     inbox.ordered_float_sum((KIND_X,), self.x)
                     if inbox is not None
@@ -385,10 +223,12 @@ class _FaultedPrimalDual:
 
     def outputs(self, count=None):
         n = self.grid.n if count is None else count
-        tau_column = [
-            int(value) if known else None
-            for value, known in zip(self.tau[:n].tolist(), self.has_tau[:n].tolist())
-        ]
+        tau_column = self.tau[:n].tolist()
+        if not self.has_tau[:n].all():
+            tau_column = [
+                value if known else None
+                for value, known in zip(tau_column, self.has_tau[:n].tolist())
+            ]
         return output_dicts(
             self.grid.node_order,
             {
@@ -404,15 +244,3 @@ class _FaultedPrimalDual:
             },
             count,
         )
-
-
-# Re-exported for the property-based tests, which cross-check the decide
-# round's fold against a brute-force inbox loop.
-def decide_load(grid, x: np.ndarray) -> np.ndarray:
-    """The decide-round load ``X_v`` (order-exact closed-neighborhood fold)."""
-    return grid.fold.fold(x)
-
-
-def neighbor_flag_counts(grid, flags: np.ndarray) -> np.ndarray:
-    """Per-node count of neighbors with ``flags`` set (exact integer sum)."""
-    return segment_sum(grid.indptr, flags[grid.indices].astype(np.int64))

@@ -1,8 +1,8 @@
 """The sharded multi-process execution tier (``engine="sharded"``).
 
 Hash-partitions a :class:`~repro.congest.kernels.grid.KernelGrid` across N
-worker processes; each worker executes the existing driver-based kernel
-programs on its local shard, with a boundary halo exchange between rounds
+worker processes; each worker executes the kernel tier's programs on its
+local shard, with a boundary halo exchange between rounds
 over ``multiprocessing.shared_memory`` lanes.  Results are byte-identical
 to the single-process kernel engine and independent of the shard count --
 see :mod:`repro.congest.sharded.engine` for the discipline that makes both

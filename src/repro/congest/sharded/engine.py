@@ -149,7 +149,7 @@ def run_sharded_program(
     ``start_method`` to ``fork`` where available (``spawn`` requires the
     algorithm instance to be picklable); ``barrier_timeout`` bounds every
     barrier wait so a crashed worker surfaces as :class:`TransportError`
-    instead of a hang.  Callers check the algorithm has a driver program
+    instead of a hang.  Callers check the algorithm has a program
     first (:func:`repro.congest.kernels.check_capability`).
     """
     program = program_for(algorithm)

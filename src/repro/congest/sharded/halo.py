@@ -1,7 +1,7 @@
 """Per-worker emission/assembly runtime for the sharded tier.
 
 :class:`ShardedRun` is the object the kernel *programs*
-(:class:`~repro.congest.kernels.primal_dual._FaultedPrimalDual` and friends)
+(:class:`~repro.congest.kernels.primal_dual.PrimalDualProgram` and friends)
 talk to inside a worker -- the sharded counterpart of
 :class:`~repro.congest.kernels.faults.FaultedRun`.  It exposes the same
 emission surface (``broadcast`` / ``unicast`` / ``unicast_neighborhood`` /
@@ -87,7 +87,7 @@ class ShardedRun:
         self.round_metrics: Optional[RoundMetrics] = None
         self.halo_bytes = 0
         local_n = grid.n
-        self.edge_src = np.repeat(np.arange(local_n, dtype=np.int64), grid.degrees)
+        self.edge_src = grid.edge_src
         # Local rows keep *global*-ascending neighbor order, so (src, dst)
         # keys are not sorted (halo locals sort after own); one argsort
         # permutation makes edge_positions a searchsorted again.

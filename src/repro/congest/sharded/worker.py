@@ -2,7 +2,7 @@
 
 A worker attaches the run's shared-memory transport, builds its shard-local
 :class:`~repro.congest.kernels.grid.KernelGrid`, instantiates the *same*
-driver-based kernel program the single-process engine would run, and then
+kernel program the single-process engine would run, and then
 loops the two-barrier round protocol:
 
 1. publish the control row (pending count, status, and the previous round's
@@ -56,7 +56,7 @@ __all__ = ["WorkerTask", "worker_main"]
 class WorkerTask:
     """Everything one worker process needs (picklable).
 
-    ``program`` is the algorithm's driver program from
+    ``program`` is the algorithm's program from
     :data:`repro.congest.kernels.KERNELS`, built against the shard-local
     grid with the global node count.
     """

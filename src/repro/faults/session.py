@@ -24,7 +24,7 @@ fate of a single delivery (the reference engine's per-message loop),
 :meth:`broadcast` decides a whole broadcast at once with NumPy masks over
 the sender's CSR slice (the batched engine's vectorized loop), and
 :meth:`edge_fates` exposes the full per-round edge decision arrays in one
-call (the kernel tier's faulted driver,
+call (the kernel tier's round driver,
 :mod:`repro.congest.kernels.faults`).  All read the same per-round uniform
 arrays, so an execution is byte-identical whichever engine runs it --
 ``tests/faults/`` enforces this.
@@ -491,7 +491,7 @@ class FaultSession:
         return kept, dropped, delayed
 
     # ------------------------------------------------------------------ #
-    # Delivery: whole-round path (kernel faulted driver)
+    # Delivery: whole-round path (kernel round driver)
     # ------------------------------------------------------------------ #
 
     def edge_fates(self, round_index: int) -> Tuple[Any, Optional[Any]]:

@@ -55,7 +55,7 @@ class CSRGraph:
     """
 
     def __getstate__(self):
-        # The cached KernelGrid (CSR copies, fold schedule, repr arrays) is
+        # The cached KernelGrid (CSR copies, edge index, repr arrays) is
         # derived state rebuilt on demand; shipping it with every pickled
         # RunSpec would triple the per-worker IPC payload at scale.
         state = dict(self.__dict__)

@@ -22,6 +22,7 @@ seeds x weightings) runs under ``pytest -m slow`` and in ``nightly.yml``.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.congest.errors import EngineCapabilityError
@@ -190,21 +191,78 @@ def test_unit_weight_rejection_identical_across_engines():
     assert len(set(messages.values())) == 1, messages
 
 
-def test_round_limit_error_identical_across_engines():
-    from repro.congest.errors import NonConvergenceError
+def _outcome(spec):
+    """``result_bytes`` of a run, or the identifying fields of its error."""
+    from repro.congest.errors import BandwidthViolation, NonConvergenceError
 
-    graph = preferential_attachment_graph(30, attachment=3, seed=1)
-    details = {}
-    for engine in ENGINES:
-        with pytest.raises(NonConvergenceError) as info:
-            Session().run(
-                RunSpec(
-                    graph=graph, algorithm="deterministic", alpha=3,
-                    engine=engine, max_rounds=3,
-                )
-            )
-        details[engine] = (info.value.rounds, info.value.pending)
-    assert len(set(details.values())) == 1, details
+    try:
+        return ("ok", result_bytes(Session().run(spec)))
+    except NonConvergenceError as error:
+        return ("round-limit", error.rounds, error.pending)
+    except BandwidthViolation as error:
+        return ("bandwidth", error.sender, error.receiver, error.bits, error.round_index)
+
+
+def _outcomes_on_every_tier(csr, algorithm, **spec_fields):
+    """Outcome per engine on ``csr.to_networkx()``, plus the CSR kernel."""
+    graph = csr.to_networkx()
+    outcomes = {
+        engine: _outcome(
+            RunSpec(graph=graph, algorithm=algorithm, engine=engine, **spec_fields)
+        )
+        for engine in ENGINES
+    }
+    outcomes["kernel-csr"] = _outcome(
+        RunSpec(graph=csr, algorithm=algorithm, engine="kernel", **spec_fields)
+    )
+    return outcomes
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 5])
+@pytest.mark.parametrize("algorithm", sorted(KERNELED))
+def test_round_limit_error_identical_across_engines(algorithm, max_rounds):
+    csr = large_scale.large_preferential_attachment(30, attachment=3, seed=1)
+    outcomes = _outcomes_on_every_tier(
+        csr, algorithm, alpha=3, seed=4, max_rounds=max_rounds
+    )
+    assert len(set(outcomes.values())) == 1, outcomes
+    if max_rounds == 1:
+        assert outcomes["reference"][0] == "round-limit"
+
+
+def _two_hub_graph(weighted):
+    """40 nodes on a path, plus two hubs (5 and 17) adjacent to all others.
+
+    With one word per message (6 bits at n=40) a hub's degree, span or
+    closed degree does not fit, while most other nodes' payloads do -- so
+    the first offender is not simply node 0.
+    """
+    others = [v for v in range(40) if v not in (5, 17)]
+    edges = [(a, b) for a, b in zip(others, others[1:])]
+    edges += [(hub, v) for hub in (5, 17) for v in others]
+    edges.append((5, 17))
+    u, v = (np.array(column, dtype=np.int64) for column in zip(*edges))
+    csr = large_scale.csr_from_edges(40, u, v)
+    if weighted:
+        csr = large_scale.random_integer_weights(csr, 1, 4096, seed=3)
+    return csr
+
+
+@pytest.mark.parametrize(
+    "algorithm, weighted",
+    [(name, weighted) for name in sorted(KERNELED) for weighted in KERNELED[name]],
+)
+def test_strict_budget_violation_identical_across_engines(algorithm, weighted):
+    """Same (sender, receiver, bits, round) on every tier, the CSR kernel
+    included: the first-offender rule lives in each tier's emission code."""
+    outcomes = _outcomes_on_every_tier(
+        _two_hub_graph(weighted), algorithm, alpha=2, seed=4,
+        bandwidth_words=1, strict=True,
+    )
+    assert len(set(outcomes.values())) == 1, outcomes
+    # lw-deterministic only ever sends one-bit flags.
+    expected = "ok" if algorithm == "lw-deterministic" else "bandwidth"
+    assert outcomes["reference"][0] == expected, outcomes["reference"]
 
 
 def test_kernel_falls_back_for_unkerneled_algorithms():

@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) for the kernel tier's substrate.
 
-Three layers are covered:
+Four layers are covered:
 
 * the **CSR segment primitives** (:mod:`repro.congest.kernels.csr`) match
   brute-force per-node loops on arbitrary random graphs -- including the
-  order-exact float fold, which must replay Python's left-to-right
+  order-exact float sum, which must replay Python's left-to-right
   accumulation bit for bit;
+* the **two inbox forms** of :mod:`repro.congest.kernels.faults` -- a
+  fault-free broadcast delivered whole, and the same broadcast expanded
+  into entry columns -- answer every operator identically;
 * the **streaming generators** (:mod:`repro.graphs.large_scale`) round-trip
   ``networkx.Graph`` <-> ``CSRGraph`` losslessly, keep their neighbor lists
   sorted, and certify arboricity bounds consistent with the dict-based
@@ -16,18 +19,23 @@ Three layers are covered:
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.kernels.csr import (
-    SequentialNeighborFold,
     int_bit_lengths,
+    ordered_row_sum,
     segment_any,
     segment_min,
     segment_min_argrank,
     segment_sum,
 )
+from repro.congest.kernels.faults import FaultedRun, Inbox, NeighborhoodInbox, NullHooks
+from repro.congest.kernels.grid import grid_from_csr
+from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.graphs import large_scale
 from repro.graphs.arboricity import degeneracy
 from repro.graphs.generators import random_bounded_arboricity_graph
@@ -46,6 +54,30 @@ graph_params = dict(
 def _random_csr(n, alpha, seed):
     graph = random_bounded_arboricity_graph(n, alpha=alpha, seed=seed)
     return graph, large_scale.csr_from_networkx(graph)
+
+
+#: Floats that break naive summation: signed zeros, infinities, subnormals,
+#: and magnitudes far apart.  NaN is excluded as an input (``inf + -inf``
+#: still produces one mid-sum).
+edge_floats = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324,
+         2.2250738585072014e-308, 1e308, -1e308, 1.0, 1e-16]
+    ),
+    st.floats(allow_nan=False, width=64),
+)
+
+
+def _bits(values):
+    """Bit patterns of a float sequence (exact, NaN- and signed-zero-aware)."""
+    return [struct.pack("<d", float(value)) for value in values]
+
+
+def _left_fold(base, terms):
+    total = float(base)
+    for term in terms:
+        total += float(term)
+    return total
 
 
 class TestSegmentPrimitives:
@@ -94,26 +126,119 @@ class TestSegmentPrimitives:
             assert argranks[node] == expected
 
     @FAST
-    @given(**graph_params)
-    def test_sequential_fold_is_bitwise_left_fold(self, n, alpha, seed):
-        """The fold must equal Python's sequential accumulation *exactly* --
+    @given(data=st.data())
+    def test_ordered_row_sum_is_bitwise_left_fold(self, data):
+        """Each row must equal Python's sequential accumulation *exactly* --
         not merely within tolerance -- because the decide rounds compare the
-        result against a threshold."""
+        result against a threshold.  Entries are grouped by row like an
+        inbox's entries by receiver: rows repeat, and some rows get none."""
+        row_count = data.draw(st.integers(min_value=0, max_value=10))
+        lengths = data.draw(
+            st.lists(st.integers(0, 6), min_size=row_count, max_size=row_count)
+        )
+        rows = [row for row, length in enumerate(lengths) for _ in range(length)]
+        values = data.draw(st.lists(edge_floats, min_size=len(rows), max_size=len(rows)))
+        base = data.draw(st.lists(edge_floats, min_size=row_count, max_size=row_count))
+        summed = ordered_row_sum(
+            np.array(rows, dtype=np.int64),
+            np.array(values, dtype=np.float64),
+            np.array(base, dtype=np.float64),
+        )
+        expected = [
+            _left_fold(base[row], [v for r, v in zip(rows, values) if r == row])
+            for row in range(row_count)
+        ]
+        assert _bits(summed) == _bits(expected)  # bit-exact, no tolerance
+
+    @FAST
+    @given(**graph_params, data=st.data())
+    def test_ordered_row_sum_is_the_closed_neighborhood_fold(self, n, alpha, seed, data):
+        """Over a grid's CSR edges, the row sum is the decide round's load."""
         graph, csr = _random_csr(n, alpha, seed)
-        rng = np.random.default_rng(seed + 3)
-        values = rng.random(n)
-        folded = SequentialNeighborFold(csr.indptr, csr.indices).fold(values)
-        for node in range(n):
-            expected = float(values[node])
-            for neighbor in sorted(graph.neighbors(node)):
-                expected += float(values[neighbor])
-            assert folded[node] == expected  # bit-exact, no tolerance
+        values = np.array(data.draw(st.lists(edge_floats, min_size=n, max_size=n)))
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        summed = ordered_row_sum(rows, values[csr.indices], values)
+        expected = [
+            _left_fold(values[node], [values[u] for u in sorted(graph.neighbors(node))])
+            for node in range(n)
+        ]
+        assert _bits(summed) == _bits(expected)
 
     @FAST
     @given(values=st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=30))
     def test_int_bit_lengths_matches_python(self, values):
         array = np.asarray(values, dtype=np.int64)
         assert int_bit_lengths(array).tolist() == [v.bit_length() for v in values]
+
+
+class _KeepAll(NullHooks):
+    """Fates with every edge kept: forces the driver's expanded path."""
+
+    def __init__(self, edge_count):
+        self.keep = np.ones(edge_count, dtype=bool)
+
+    def edge_fates(self, round_index):
+        return self.keep, None
+
+
+def _broadcast_and_collect(grid, hooks, senders, acting, kind, values, fvalues):
+    run = FaultedRun(grid, hooks, budget=0, strict=False, metrics=RunMetrics())
+    run.round_metrics = RoundMetrics(round_index=0)
+    run.broadcast(0, senders, kind, bits=1, values=values, fvalues=fvalues)
+    inbox, dropped = run._collect(1, None, acting)
+    assert dropped == 0
+    return run, inbox
+
+
+class TestInboxForms:
+    @FAST
+    @given(**graph_params, data=st.data())
+    def test_whole_neighborhood_inbox_matches_expanded(self, n, alpha, seed, data):
+        _, csr = _random_csr(n, alpha, seed)
+        grid = grid_from_csr(csr)
+        masks = st.lists(st.booleans(), min_size=n, max_size=n)
+        senders = np.array(data.draw(masks), dtype=bool)
+        acting = np.array(data.draw(masks), dtype=bool)
+        values = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        fvalues = np.array(
+            data.draw(st.lists(edge_floats, min_size=n, max_size=n)), dtype=np.float64
+        )
+        base = np.array(
+            data.draw(st.lists(edge_floats, min_size=n, max_size=n)), dtype=np.float64
+        )
+        kind = data.draw(st.integers(0, 2))
+        whole_run, whole = _broadcast_and_collect(
+            grid, NullHooks(), senders, acting, kind, values, fvalues
+        )
+        expanded_run, expanded = _broadcast_and_collect(
+            grid, _KeepAll(len(csr.indices)), senders, acting, kind, values, fvalues
+        )
+        assert whole_run.round_metrics.to_dict() == expanded_run.round_metrics.to_dict()
+        if expanded is None and whole is None:
+            return
+        assert isinstance(whole, NeighborhoodInbox)
+        if expanded is None:  # nothing reached an acting node
+            empty = np.empty(0, dtype=np.int64)
+            expanded = Inbox(n, empty, empty, empty, empty, np.empty(0))
+        assert isinstance(expanded, Inbox)
+        for column in ("recv", "send", "kind", "ival"):
+            assert getattr(whole, column).tolist() == getattr(expanded, column).tolist()
+        assert _bits(whole.fval) == _bits(expanded.fval)
+        for code in (0, 1, 2):
+            assert whole.any_truthy(code).tolist() == expanded.any_truthy(code).tolist()
+            assert (
+                whole.count_truthy(code).tolist() == expanded.count_truthy(code).tolist()
+            )
+            assert _bits(whole.ordered_float_sum((code,), base)) == _bits(
+                expanded.ordered_float_sum((code,), base)
+            )
+            assert (
+                whole.received_edges(code, whole_run).tolist()
+                == expanded.received_edges(code, expanded_run).tolist()
+            )
 
 
 class TestCSRRoundTrip:

@@ -213,7 +213,6 @@ def test_worker_crash_surfaces_as_clean_error(monkeypatch):
     if "fork" not in __import__("multiprocessing").get_all_start_methods():
         pytest.skip("crash injection relies on fork inheriting the patch")
     from repro.congest import kernels
-    from repro.congest.kernels.forest import forest_kernel
     from repro.congest.kernels.grid import grid_from_csr
     from repro.congest.sharded import engine as sharded_engine
     from repro.congest.sharded.shmem import TransportError
@@ -225,7 +224,7 @@ def test_worker_crash_surfaces_as_clean_error(monkeypatch):
     monkeypatch.setitem(
         kernels.KERNELS,
         "repro.core.trees.ForestMDSAlgorithm",
-        (forest_kernel, _crash_program),
+        _crash_program,
     )
     csr = large_scale.large_preferential_attachment(60, attachment=3, seed=2)
     grid = grid_from_csr(csr)

@@ -11,7 +11,7 @@ The fast subset (every algorithm on two families) runs in tier-1; the full
 7-algorithm x 8-family differential grid mirrors
 ``tests/congest/test_engine_parity.py`` and runs under ``pytest -m slow``
 (wired into the nightly fault-model parity job).  The kernel tier is part
-of the engine list: its faulted driver replays the hooked round loop as
+of the engine list: its round driver replays the hooked round loop as
 array programs, and with an empty plan it must reproduce the plain kernel
 execution bit for bit, exactly like the per-node engines.
 """

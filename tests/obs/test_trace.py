@@ -94,9 +94,9 @@ class TestTracedByteParity:
         records = load_trace(tmp_path / "csr.jsonl")
         assert validate_trace(records) == []
         (entry,) = span_tree(records).values()
-        # The unfaulted CSR fast path runs hook-free (its closed-form
-        # kernels must not be distorted at 10^5-node scale), so rounds are
-        # derived post-run and carry no live timestamps.
+        # The unfaulted CSR path runs hook-free (its programs must not be
+        # distorted at 10^5-node scale), so rounds are derived post-run and
+        # carry no live timestamps.
         assert all(record["t_start_s"] is None for record in entry["rounds"])
 
     def test_traced_faulted_csr_run_carries_live_round_times(self, tmp_path):
