@@ -315,7 +315,8 @@ class FaultedRun:
         whole = len(batches) == 1 and isinstance(batches[0], _Broadcast)
         if whole and (crashed_now is None or not crashed_now.any()):
             return NeighborhoodInbox(self.grid, batches[0], acting), 0
-        # Crashes, latency or a mixed round: expand to entry columns.
+        # Crashes, latency or a mixed round: expand to (receiver-sorted)
+        # entry columns.
         batches = [
             batch.columns(self.grid) + (True,) if isinstance(batch, _Broadcast) else batch
             for batch in batches

@@ -95,7 +95,7 @@ class KernelGrid:
             self._repr_rank = rank
         return self._repr_rank
 
-    # -- directed-edge index (lazy; only per-edge delivery paths pay) -------
+    # -- directed-edge index (lazy; built on first use) ---------------------
 
     @property
     def edge_src(self) -> np.ndarray:
