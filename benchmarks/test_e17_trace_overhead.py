@@ -10,17 +10,19 @@ E14 kernel tier was built to protect, so it carries three gates:
   the arms differ in nothing but the tracer).  The disabled branch is
   one attribute check per *run*, never per round.
 * **on is honest** -- with a live :class:`~repro.obs.trace.FileTracer`,
-  ``result_bytes`` is byte-identical to the plain run on all three
-  engines, and the emitted JSONL validates cleanly.  A tracer observes a
-  run; it never participates in one.
+  ``result_bytes`` is byte-identical to the plain run on all four tiers,
+  and the emitted JSONL validates cleanly (schema v2: every round carries
+  a live, non-decreasing ``t_start_s``).  A tracer observes a run; it
+  never participates in one.
 * **/metrics is real** -- the ``repro_serve_request_seconds`` histogram
   scraped from a live server agrees with the load generator's own
   client-side p50/p99 to within one bucket (the histogram quantile is an
   upper bound tight to one bucket; the client adds only socket overhead).
 
-The tracing-*on* kernel overhead is reported but not gated: the unfaulted
-CSR path stays hook-free under a tracer (rounds are derived post-run), so
-its cost is emitting one span tree per run.
+The tracing-*on* kernel overhead is reported but not gated.  Every run
+stamps its rounds whether or not a tracer is attached (the off arms pay
+for the stamps too), so the on arm's extra cost is emitting one span tree
+per run, round start times included.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ OVERHEAD_N = 10_000
 #: Acceptance: tracing-off wall time within this fraction of tracer-less.
 OFF_OVERHEAD_CEILING = 0.02
 
-ENGINES = ("reference", "batched", "kernel")
+#: Traced byte-parity tiers: ``(engine, shards)``.
+TIERS = (("reference", None), ("batched", None), ("kernel", None), ("sharded", 2))
 
 
 def _kernel_spec(bench_seed):
@@ -136,13 +139,14 @@ def _measure_overhead(bench_seed, tmp_path):
 
 
 def _parity_rows(bench_seed, tmp_path):
-    """Traced vs plain ``result_bytes`` on every engine, fault-free."""
+    """Traced vs plain ``result_bytes`` on every tier, fault-free."""
     graph = forest_union_graph(200, alpha=3, seed=bench_seed)
     rows = []
     path = tmp_path / "parity.jsonl"
-    for engine in ENGINES:
+    for engine, shards in TIERS:
         spec = RunSpec(
-            graph=graph, algorithm="deterministic", alpha=3, seed=7, engine=engine
+            graph=graph, algorithm="deterministic", alpha=3, seed=7,
+            engine=engine, shards=shards,
         )
         plain = Session().run(spec)
         with FileTracer(path) as tracer:
@@ -266,8 +270,8 @@ def test_e17_trace_overhead(benchmark, record_experiment, bench_seed, tmp_path):
         + format_table(timing_rows)
         + f"\n\ngate: tracing-off overhead {off_overhead * 100.0:+.2f}% "
         f"(ceiling {OFF_OVERHEAD_CEILING * 100.0:.0f}%); tracing-on "
-        f"{on_overhead * 100.0:+.2f}% (reported, not gated -- the unfaulted\n"
-        "CSR path stays hook-free under a tracer; rounds derive post-run).\n\n"
+        f"{on_overhead * 100.0:+.2f}% (reported, not gated -- every arm stamps\n"
+        "its rounds live; the on arm also emits the span tree).\n\n"
         "Traced-run byte parity (result_bytes, fault-free forest n=200):\n"
         + format_table(parity_rows)
         + "\n\n/metrics vs loadgen over one live server "

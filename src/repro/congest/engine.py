@@ -2,7 +2,8 @@
 
 The :class:`~repro.congest.simulator.Simulator` decides *what* to run (the
 algorithm, the bandwidth budget, the round limit); an :class:`Engine` decides
-*how* the synchronous rounds are executed.  Two engines are provided:
+*how* the synchronous rounds are executed.  Four tiers are provided; this
+module holds the two per-node ones:
 
 * :class:`ReferenceEngine` -- the straightforward per-node, per-message loop.
   It is the correctness oracle: every semantic question ("in which order are
@@ -25,22 +26,30 @@ the order in which the reference engine's sender loop inserts deliveries.
 ``tests/congest/test_engine_parity.py`` enforces the equivalence on a grid of
 algorithms and graph families.
 
-A third tier lives in :mod:`repro.congest.kernels`: the ``"kernel"`` engine
-executes the paper's hot algorithms as node-loop-free NumPy array programs
-over the CSR layout (registered lazily here so this module stays importable
-without NumPy).  Algorithms without a kernel fall back to the batched
-engine (the fallback is recorded in ``RunMetrics.engine_used``); fault
-hooks run through the same vectorized round driver as plain kernel runs,
-:mod:`repro.congest.kernels.faults`.
+The third tier lives in :mod:`repro.congest.kernels`: the ``"kernel"``
+engine executes the paper's hot algorithms as node-loop-free NumPy array
+programs over the CSR layout (registered lazily here so this module stays
+importable without NumPy).  Algorithms without a kernel fall back to the
+batched engine (the fallback is recorded in ``RunMetrics.engine_used``);
+fault hooks run through the same vectorized round driver as plain kernel
+runs, :mod:`repro.congest.kernels.faults`.  The fourth,
+:mod:`repro.congest.sharded` (``"sharded"``), partitions the kernel programs
+across worker processes, fault-free only.
+
+Every round loop -- both plain loops here, the shared hooked loop, the
+kernel driver and the sharded coordinator -- calls
+:func:`repro.obs.trace.stamp_round` once per executed round, where it
+creates that round's :class:`~repro.congest.metrics.RoundMetrics`; a traced
+run reads those stamps as its round start times.
 
 Engine selection
 ----------------
 
 Every entry point (``Simulator``, ``run_algorithm``, ``RunSpec``/``Session``)
-accepts
-``engine="reference" | "batched" | "kernel"``, an :class:`Engine` instance,
-or ``None`` meaning "use the process-wide default" (see
-:func:`set_default_engine`; the initial default is the reference engine).
+accepts ``engine="reference" | "batched" | "kernel" | "sharded"``, an
+:class:`Engine` instance, or ``None`` meaning "use the process-wide default"
+(see :func:`set_default_engine`; the initial default is the reference
+engine).
 The benchmark harness switches its default to the batched engine, which is
 what makes the E9-scale instances tractable.
 
@@ -87,6 +96,7 @@ from repro.congest.errors import AlgorithmError, BandwidthViolation, NonConverge
 from repro.congest.message import Broadcast, Payload, estimate_payload_bits
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
+from repro.obs.trace import stamp_round
 
 __all__ = [
     "Engine",
@@ -145,6 +155,8 @@ class Engine(abc.ABC):
 
         ``hooks`` (optional) is a round-hook object -- see the module
         docstring -- through which fault injection intervenes in the loop.
+        Call :func:`~repro.obs.trace.stamp_round` once per executed round;
+        a traced run's round records take their start times from it.
         """
 
     # ------------------------------------------------------------------ #
@@ -194,6 +206,7 @@ class Engine(abc.ABC):
                     pending_nodes=[node_order[i] for i in runnable],
                 )
 
+            stamp_round()
             inboxes, arrival_dropped = hooks.collect(round_index)
             acting = [i for i in runnable if hooks.acting(i)]
             round_metrics = RoundMetrics(round_index=round_index, active_nodes=len(acting))
@@ -335,6 +348,7 @@ class ReferenceEngine(Engine):
             if round_index >= limit:
                 raise NonConvergenceError(rounds=round_index, pending=len(active))
 
+            stamp_round()
             round_metrics = RoundMetrics(round_index=round_index, active_nodes=len(active))
             next_inboxes: Dict[Hashable, Dict[Hashable, Any]] = {
                 node_id: {} for node_id in network.node_ids()
@@ -459,6 +473,7 @@ class BatchedEngine(Engine):
             if round_index >= limit:
                 raise NonConvergenceError(rounds=round_index, pending=len(active))
 
+            stamp_round()
             round_metrics = RoundMetrics(round_index=round_index, active_nodes=len(active))
             any_mail = bool(prev_broadcast) or bool(prev_unicast) or bool(prev_scattered)
 
@@ -729,9 +744,10 @@ def set_default_engine(name: str) -> str:
 def get_engine(engine: EngineSpec = None) -> Engine:
     """Resolve an engine specification to an :class:`Engine` instance.
 
-    Accepts a registered name (``"reference"`` / ``"batched"``), an
-    :class:`Engine` instance (returned as-is), an :class:`Engine` subclass
-    (instantiated), or ``None`` for the process-wide default.
+    Accepts a registered name (``"reference"`` / ``"batched"`` /
+    ``"kernel"`` / ``"sharded"``), an :class:`Engine` instance (returned
+    as-is), an :class:`Engine` subclass (instantiated), or ``None`` for the
+    process-wide default.
     """
     if engine is None:
         engine = _default_engine_name

@@ -40,6 +40,7 @@ import numpy as np
 from repro.congest.errors import BandwidthViolation, NonConvergenceError
 from repro.congest.kernels.csr import ordered_row_sum
 from repro.congest.metrics import RoundMetrics, RunMetrics
+from repro.obs.trace import stamp_round
 
 __all__ = [
     "KIND_DEGREE",
@@ -672,6 +673,7 @@ class FaultedRun:
                         ],
                     )
                 raise NonConvergenceError(rounds=round_index, pending=live)
+            stamp_round()
             crashed_now = hooks.crashed_now
             acting = runnable if crashed_now is None else runnable & ~crashed_now
             inbox, arrival_dropped = self._collect(round_index, crashed_now, acting)

@@ -57,6 +57,7 @@ from repro.congest.sharded.shmem import (
 )
 from repro.congest.sharded.worker import WorkerTask, worker_main
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import stamp_round
 
 __all__ = [
     "ShardedEngine",
@@ -233,7 +234,8 @@ def _coordinate(transport, plan, metrics, *, limit, budget, tracer, workers):
     count *before* round ``r`` and its stats *from* round ``r - 1``, so the
     loop records round ``r - 1``, then decides round ``r`` exactly like the
     single-process driver: statuses first (an exception aborts before its
-    round is recorded), then convergence, then the round limit.
+    round is recorded), then convergence, then the round limit.  Round
+    ``r``'s start is stamped just before ``CMD_CONTINUE`` releases it.
     """
     shards = plan.shards
     ctrl = transport.views.ctrl
@@ -279,6 +281,7 @@ def _coordinate(transport, plan, metrics, *, limit, budget, tracer, workers):
             if round_index >= limit:
                 transport.send_command(CMD_ABORT)
                 raise NonConvergenceError(rounds=round_index, pending=live)
+            stamp_round()
             transport.send_command(CMD_CONTINUE)
             prev_live = live
             round_index += 1

@@ -2,11 +2,13 @@
 
 The :class:`Simulator` owns the *model* parameters -- the CONGEST bandwidth
 budget, the round limit, strictness -- and delegates the actual round loop to
-a pluggable :class:`~repro.congest.engine.Engine`.  Two engines ship with the
-repository: the ``"reference"`` engine (the per-message oracle loop) and the
+a pluggable :class:`~repro.congest.engine.Engine`.  Four tiers ship with the
+repository: the ``"reference"`` engine (the per-message oracle loop), the
 ``"batched"`` engine (a NumPy-vectorized fast path over CSR-style adjacency
-arrays).  They are observationally identical; see
-:mod:`repro.congest.engine` and ``tests/congest/test_engine_parity.py``.
+arrays), the ``"kernel"`` engine (node-loop-free array programs) and the
+``"sharded"`` engine (kernel programs partitioned across worker processes).
+They are observationally identical; see :mod:`repro.congest.engine` and
+``tests/congest/test_engine_parity.py``.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ class Simulator:
         exploratory runs).
     engine:
         Round-execution strategy: ``"reference"`` (per-message oracle loop),
-        ``"batched"`` (vectorized fast path), an
+        ``"batched"`` (vectorized fast path), ``"kernel"`` (array programs,
+        batched fallback), ``"sharded"`` (partitioned kernel programs), an
         :class:`~repro.congest.engine.Engine` instance, or ``None`` for the
         process-wide default (initially ``"reference"``).  ``None`` is
         resolved at each :meth:`run`, so a later
@@ -152,8 +155,8 @@ def run_algorithm(
 ) -> RunResult:
     """Convenience wrapper: build a :class:`Network` and run ``algorithm`` on it.
 
-    ``engine`` selects the round executor (``"reference"`` or ``"batched"``);
-    see :class:`Simulator`.
+    ``engine`` selects the round executor (``"reference"``, ``"batched"``,
+    ``"kernel"`` or ``"sharded"``); see :class:`Simulator`.
     """
     network = Network(
         graph,

@@ -13,7 +13,7 @@ fixed ``(plan, network, seed)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.congest.engine import Engine, EngineSpec, get_engine
 from repro.faults.plan import FaultPlan
@@ -35,30 +35,17 @@ class AdversarialEngine(Engine):
         The wrapped engine: a registered name, an :class:`Engine` instance,
         or ``None`` for the process-wide default.  Resolved at each
         :meth:`execute`, like ``engine=None`` on the simulator.
-    hook_wrapper:
-        Optional callable applied to the freshly built
-        :class:`FaultSession` before it reaches the inner engine; the
-        observability layer uses it to interpose a delegating
-        :class:`~repro.obs.trace.TracingHooks` proxy (round timestamps)
-        without the engines or the fault runtime knowing tracing exists.
-        ``None`` (the default) passes the session through untouched.
     """
 
     name = "adversarial"
 
-    def __init__(
-        self,
-        plan: Optional[FaultPlan] = None,
-        inner: EngineSpec = None,
-        hook_wrapper: Optional[Callable[[FaultSession], Any]] = None,
-    ):
+    def __init__(self, plan: Optional[FaultPlan] = None, inner: EngineSpec = None):
         if isinstance(inner, AdversarialEngine) or (
             isinstance(inner, type) and issubclass(inner, AdversarialEngine)
         ):
             raise ValueError("AdversarialEngine cannot wrap another AdversarialEngine")
         self.plan = plan if plan is not None else FaultPlan()
         self.inner_spec = inner
-        self.hook_wrapper = hook_wrapper
 
     @property
     def inner(self) -> Engine:
@@ -73,15 +60,13 @@ class AdversarialEngine(Engine):
         inner = self.inner
         if isinstance(inner, AdversarialEngine):
             raise ValueError("AdversarialEngine cannot wrap another AdversarialEngine")
-        session = FaultSession(self.plan, network)
-        hooks = session if self.hook_wrapper is None else self.hook_wrapper(session)
         return inner.execute(
             network,
             algorithm,
             budget=budget,
             limit=limit,
             strict=strict,
-            hooks=hooks,
+            hooks=FaultSession(self.plan, network),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -8,9 +8,11 @@ stack (see ROADMAP.md's telemetry prerequisite for adaptive sweeps):
   (``Session(tracer=...)`` or ``session.run(spec, tracer=...)``) and to the
   CLI (``repro run --trace PATH``, ``repro sweep --trace-dir DIR``);
   :class:`~repro.obs.trace.FileTracer` writes one JSONL record per span.
-  The hard contract: with no tracer every hot path takes the exact pre-PR
-  code path (E17 gates the overhead), and with a tracer attached
-  ``result_bytes`` stays byte-identical across all three engines.
+  Every round loop stamps its rounds' start times into one list per run
+  whether or not a tracer is attached, so traced and untraced runs take
+  the same code path on all four tiers: a tracer only emits what the run
+  already recorded (E17 gates the tracing-off overhead at 2%), and
+  ``result_bytes`` stays byte-identical with a tracer attached.
 * :mod:`repro.obs.metrics` -- process-local counters, gauges and
   fixed-bucket histograms with a Prometheus text renderer (no third-party
   metrics client).  ``repro serve`` aggregates per-request observations
@@ -27,7 +29,6 @@ from repro.obs.trace import (
     FileTracer,
     NullTracer,
     Tracer,
-    TracingHooks,
     load_trace,
     span_tree,
     validate_trace,
@@ -41,7 +42,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "FileTracer",
-    "TracingHooks",
     "load_trace",
     "span_tree",
     "validate_trace",

@@ -17,23 +17,23 @@ A trace is a flat stream of JSON records (one per line in a
     One per communication round, emitted from the run's
     :class:`~repro.congest.metrics.RoundMetrics` -- messages delivered,
     dropped and delayed, payload bits, active/crashed nodes.  Because the
-    per-round metrics are byte-identical across the reference, batched and
-    kernel engines (the parity discipline of the congest test-suite), the
-    emitted span tree is identical whichever engine executed the run; only
-    the timing fields differ.  When the run executed through the hooked
-    round loop, each record also carries ``t_start_s`` -- the round's start
-    time relative to the run span -- captured live by :class:`TracingHooks`.
+    per-round metrics are byte-identical across the execution tiers (the
+    parity discipline of the congest test-suite), the emitted span tree is
+    identical whichever engine executed the run; only the timing fields
+    differ.  Each record also carries ``t_start_s`` -- the round's start
+    time relative to the run span, stamped live by the round loop.
 
-Live round timestamps ride the existing ``hooks=`` round-loop protocol:
-every engine's hooked loop (``Engine._execute_hooked`` and the kernel fault
-driver's :class:`~repro.congest.kernels.faults.FaultedRun`) calls
-``hooks.begin_round(r)`` exactly once per round, so :class:`TracingHooks`
--- a delegating proxy around any real hooks object -- timestamps rounds on
-all three engines without either engine knowing tracing exists.  A traced
-fault-free run wraps the engine in an *empty*
-:class:`~repro.faults.FaultPlan`, which the fault test-suite holds
-byte-identical to the plain path; with no tracer attached, nothing is
-wrapped and the plain hot paths run unchanged.
+Round start times come from one stamp list per run.
+:meth:`repro.run.Session.run` installs a fresh list in
+:data:`ROUND_STAMPS` around every execution, traced or not, and every round
+loop -- the reference and batched plain loops, the shared hooked loop
+(``Engine._execute_hooked``), the kernel driver
+(:class:`~repro.congest.kernels.faults.FaultedRun`) and the sharded
+coordinator -- calls :func:`stamp_round` once per executed round, where it
+creates that round's metrics.  Traced and untraced runs therefore take the
+same code path on every tier; a tracer only decides whether the stamps are
+emitted.  Outside a session run no list is installed and
+:func:`stamp_round` does nothing.
 
 ``python -m repro.obs.trace FILE.jsonl`` validates a trace against the
 schema (the CI smoke job runs it after ``repro run --trace``).
@@ -44,16 +44,17 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Dict, IO, List, Optional, Sequence, Union
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "NullTracer",
     "FileTracer",
-    "RoundTimer",
-    "TracingHooks",
+    "ROUND_STAMPS",
+    "stamp_round",
     "emit_run_trace",
     "load_trace",
     "validate_trace",
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 #: Bumped when the record layout changes; stamped on every ``run`` span.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: The record types a valid trace may contain.
 _RECORD_TYPES = ("run", "phase", "round", "event")
@@ -142,50 +143,17 @@ class FileTracer(Tracer):
         self.close()
 
 
-class RoundTimer:
-    """Collects live per-round start timestamps during one traced run."""
-
-    def __init__(self) -> None:
-        self.starts: List[Tuple[int, float]] = []
-
-    def mark(self, round_index: int) -> None:
-        self.starts.append((round_index, time.perf_counter()))
-
-    def wrap(self, hooks: Any) -> "TracingHooks":
-        return TracingHooks(hooks, self)
-
-    def relative_starts(self, origin: float) -> Dict[int, float]:
-        """Map round index -> seconds since ``origin`` (first mark wins)."""
-        relative: Dict[int, float] = {}
-        for round_index, stamp in self.starts:
-            relative.setdefault(round_index, stamp - origin)
-        return relative
+#: The current run's ``perf_counter`` round stamps, or ``None`` outside a run.
+ROUND_STAMPS: ContextVar[Optional[List[float]]] = ContextVar(
+    "repro_round_stamps", default=None
+)
 
 
-class TracingHooks:
-    """A delegating proxy over any round-hooks object that timestamps rounds.
-
-    Every attribute and method of the wrapped hooks object (the fault
-    session's full protocol: ``runnable``/``acting``/``collect``/``route``/
-    ``broadcast``/``edge_fates``/``stop_at_limit``/...) passes straight
-    through, so the engines see exactly the behavior they would without
-    tracing; only ``begin_round`` -- the one call each hooked loop makes
-    exactly once per round -- is intercepted to record a timestamp before
-    delegating.
-    """
-
-    __slots__ = ("_inner", "_timer")
-
-    def __init__(self, inner: Any, timer: RoundTimer):
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_timer", timer)
-
-    def begin_round(self, round_index: int) -> None:
-        self._timer.mark(round_index)
-        return self._inner.begin_round(round_index)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
+def stamp_round() -> None:
+    """Stamp the start of one executed round into the current run's list."""
+    stamps = ROUND_STAMPS.get()
+    if stamps is not None:
+        stamps.append(time.perf_counter())
 
 
 def emit_run_trace(
@@ -197,7 +165,7 @@ def emit_run_trace(
     result: Any,
     phase_seconds: Dict[str, float],
     wall_s: float,
-    round_starts: Optional[Dict[int, float]] = None,
+    round_starts: Sequence[float] = (),
     fault_model: Optional[str] = None,
 ) -> int:
     """Emit one run's complete span tree; returns the assigned ``run_id``.
@@ -206,7 +174,10 @@ def emit_run_trace(
     the run, which is what guarantees identical trees across engines: the
     engines' metrics are byte-identical by the parity discipline, so the
     only per-engine differences in a trace are ``engine_used`` and the
-    timing fields.
+    timing fields.  ``round_starts`` holds each executed round's start in
+    seconds since the run span began; a round without one (an engine that
+    never calls :func:`stamp_round`) gets ``t_start_s`` null, which
+    :func:`validate_trace` rejects.
     """
     metrics = result.metrics
     run_id = tracer.next_run_id()
@@ -235,12 +206,12 @@ def emit_run_trace(
                 "wall_s": round(phase_seconds.get(phase, 0.0), 6),
             }
         )
-    starts = round_starts or {}
-    for round_metrics in metrics.per_round:
+    for index, round_metrics in enumerate(metrics.per_round):
         record: Dict[str, Any] = {"type": "round", "run_id": run_id}
         record.update(round_metrics.to_dict())
-        start = starts.get(round_metrics.round_index)
-        record["t_start_s"] = None if start is None else round(start, 6)
+        record["t_start_s"] = (
+            round(round_starts[index], 6) if index < len(round_starts) else None
+        )
         tracer.emit(record)
     return run_id
 
@@ -290,6 +261,7 @@ _ROUND_REQUIRED = (
     "dropped_messages",
     "delayed_messages",
     "crashed_nodes",
+    "t_start_s",
 )
 
 
@@ -297,13 +269,15 @@ def validate_trace(records: List[Dict[str, Any]]) -> List[str]:
     """Check a record stream against the trace schema; returns problems.
 
     An empty list means the trace is valid.  Checks are structural: record
-    types, required fields, the schema version stamp, phase names, and that
+    types, required fields, the schema version stamp, phase names, that
     every ``phase``/``round`` record points at an emitted ``run`` span with
-    a consistent round count.
+    a consistent round count, and that every round's ``t_start_s`` is a
+    non-negative number no lower than the previous round's in its run.
     """
     problems: List[str] = []
     runs: Dict[int, Dict[str, Any]] = {}
     rounds_seen: Dict[int, int] = {}
+    last_start: Dict[int, float] = {}
     for index, record in enumerate(records):
         kind = record.get("type")
         where = f"record {index}"
@@ -342,6 +316,18 @@ def validate_trace(records: List[Dict[str, Any]]) -> List[str]:
                 problems.append(f"{where}: round for unknown run_id {run_id!r}")
                 continue
             rounds_seen[run_id] = rounds_seen.get(run_id, 0) + 1
+            start = record["t_start_s"]
+            if isinstance(start, bool) or not isinstance(start, (int, float)):
+                problems.append(f"{where}: t_start_s is {start!r}, expected a number")
+            elif start < 0:
+                problems.append(f"{where}: t_start_s {start!r} is negative")
+            elif start < last_start.get(run_id, 0.0):
+                problems.append(
+                    f"{where}: t_start_s {start!r} is lower than the previous "
+                    f"round's {last_start[run_id]!r}"
+                )
+            else:
+                last_start[run_id] = start
     for run_id, run in runs.items():
         expected = run["rounds"]
         seen = rounds_seen.get(run_id, 0)

@@ -42,6 +42,7 @@ from repro.congest.network import Network
 from repro.congest.simulator import Simulator
 from repro.graphs.arboricity import arboricity_upper_bound
 from repro.graphs.generators import GraphInstance
+from repro.obs.trace import ROUND_STAMPS, emit_run_trace
 from repro.run.algorithms import resolve_algorithm, ResolvedRun
 from repro.run.result import DominatingSetResult, package_result, package_result_csr
 from repro.run.spec import RunSpec
@@ -340,30 +341,26 @@ class Session:
         """Execute one spec, reusing every piece of compiled state it allows.
 
         ``tracer`` overrides the session-level tracer for this run only.
-        With an enabled tracer, live round timestamps are captured through
-        the fault hooks (fault-free network runs are wrapped in an *empty*
-        :class:`~repro.faults.FaultPlan`, which the fault test-suite holds
-        byte-identical to the plain path) and the run's span tree is
-        emitted afterwards.  Fault-free CSR and sharded runs keep their
-        hook-free path; their round records carry ``t_start_s`` null.
+        Every run, traced or not, installs a fresh
+        :data:`~repro.obs.trace.ROUND_STAMPS` list that each tier's round
+        loop stamps once per executed round, and resets it afterwards,
+        however the run ends.  With an enabled tracer the run's span tree is
+        emitted afterwards, its round records timed from those stamps.
         """
         active = tracer if tracer is not None else self.tracer
         if active is not None and not getattr(active, "enabled", True):
             active = None
-        timer = None
-        if active is not None:
-            from repro.obs.trace import RoundTimer
-
-            timer = RoundTimer()
         run_started = time.perf_counter()
         compiled = self.compile(spec)
         resolved = self._resolve(compiled, spec)
         compile_done = time.perf_counter()
         csr = _as_csr(compiled.graph)
-        raw = self._simulate(
-            compiled, csr, resolved, spec,
-            hook_wrapper=None if timer is None else timer.wrap,
-        )
+        stamps: List[float] = []
+        token = ROUND_STAMPS.set(stamps)
+        try:
+            raw = self._simulate(compiled, csr, resolved, spec)
+        finally:
+            ROUND_STAMPS.reset(token)
         execute_done = time.perf_counter()
         validate = spec.validate == "full"
         if csr is not None:
@@ -375,8 +372,6 @@ class Session:
                 compiled.graph, raw, guarantee=resolved.guarantee, validate=validate
             )
         if active is not None:
-            from repro.obs.trace import emit_run_trace
-
             package_done = time.perf_counter()
             emit_run_trace(
                 active,
@@ -390,7 +385,7 @@ class Session:
                     "package": package_done - execute_done,
                 },
                 wall_s=package_done - run_started,
-                round_starts=timer.relative_starts(run_started),
+                round_starts=[stamp - run_started for stamp in stamps],
                 fault_model=fault_model_label(spec.faults),
             )
         return result
@@ -401,7 +396,6 @@ class Session:
         csr: Optional[Any],
         resolved: ResolvedRun,
         spec: RunSpec,
-        hook_wrapper: Optional[Any] = None,
     ):
         """Execute one resolved spec; returns the raw :class:`RunResult`.
 
@@ -424,7 +418,6 @@ class Session:
             # it -- instead of tripping over the process-wide default.
             engine_spec = "kernel"
         engine = self._resolve_engine(engine_spec, spec)
-        sharded = engine.name == "sharded"
         check_capability(
             resolved.algorithm,
             engine.name,
@@ -434,14 +427,10 @@ class Session:
         )
         plan = compiled.fault_plan(spec)
         if csr is None:
-            if plan is not None or (hook_wrapper is not None and not sharded):
-                # Fault-free sharded runs stay unwrapped: per-round hooks
-                # cannot cross the process boundary.
+            if plan is not None:
                 from repro.faults import AdversarialEngine
 
-                engine = AdversarialEngine(
-                    plan, inner=engine, hook_wrapper=hook_wrapper
-                )
+                engine = AdversarialEngine(plan, inner=engine)
             network = compiled.network(
                 alpha=resolved.alpha,
                 config=spec.config,
@@ -469,7 +458,7 @@ class Session:
             algorithm, csr, spec.bandwidth_words, spec.max_rounds
         )
         grid = grid_from_csr(csr)
-        if sharded:
+        if engine.name == "sharded":
             from repro.congest.sharded.engine import run_sharded_program
 
             outputs, metrics = run_sharded_program(
@@ -487,8 +476,6 @@ class Session:
                 from repro.faults.session import FaultSession
 
                 hooks = FaultSession.for_csr(plan, csr)
-                if hook_wrapper is not None:
-                    hooks = hook_wrapper(hooks)
             outputs, metrics = kernel_for(algorithm)(
                 grid, config, algorithm,
                 budget=budget, limit=limit, strict=spec.strict,
