@@ -17,7 +17,14 @@ The primitives come in two flavors:
   pairwise or reordered summation would produce a different dominating set
   than the reference engine on some instances.  The sum therefore replays
   the reference engine's left-to-right accumulation exactly, as one
-  unbuffered in-order scatter-add.
+  unbuffered in-order scatter-add over an expanded inbox's entries.  A
+  fault-free broadcast is summed over the grid's cached
+  :class:`~repro.congest.kernels.grid.Fold` instead (contiguous prefix adds
+  per neighbor slot, this scatter-add only for the slots past the last);
+  see :meth:`repro.congest.kernels.faults.NeighborhoodInbox.ordered_float_sum`.
+* **Slice gathering** (:func:`slice_positions`): the edge positions of a
+  set of neighbor slices, which lets an operator touch only the rows it
+  needs instead of every edge.
 
 ``tests/congest/test_kernel_primitives.py`` property-tests all of these
 against brute-force per-node loops.
@@ -33,6 +40,7 @@ __all__ = [
     "segment_min",
     "segment_min_argrank",
     "int_bit_lengths",
+    "slice_positions",
     "ordered_row_sum",
 ]
 
@@ -101,6 +109,18 @@ def int_bit_lengths(values: np.ndarray) -> np.ndarray:
             return out
         out[positive] += 1
         remaining >>= 1
+
+
+def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[i], ..., starts[i] + lengths[i] - 1``, slice by slice.
+
+    The edge positions of a set of neighbor slices, concatenated in the order
+    given -- one ``repeat`` plus one ``arange`` instead of a per-slice loop.
+    """
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
 
 
 def ordered_row_sum(

@@ -19,8 +19,12 @@ lives in a columnar mailbox instead of per-node dicts:
 * :class:`NullHooks` is the no-fault stand-in every plain run uses.  With
   no edge fates a broadcast is never expanded into per-edge entries: it is
   delivered as a :class:`NeighborhoodInbox` (the sender mask plus the
-  payload columns), whose operators are CSR segment operations over the
-  grid.  So a plain run never pays for per-edge entries.
+  payload columns).  Its receipt operators (``any_truthy``/``count_truthy``)
+  read only the truthy senders' rows, and its ordered sum runs over the
+  grid's cached :class:`~repro.congest.kernels.grid.Fold`: one payload
+  gather, one contiguous add per neighbor slot, one in-order scatter-add for
+  the high-degree rows' remaining entries.  So a plain run never pays for
+  per-edge entries.
 
 Message payloads are encoded as a per-entry ``kind`` code plus one integer
 and one float column; every payload any kerneled algorithm sends fits this
@@ -38,7 +42,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.congest.errors import BandwidthViolation, NonConvergenceError
-from repro.congest.kernels.csr import ordered_row_sum
+from repro.congest.kernels.csr import ordered_row_sum, slice_positions
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.obs.trace import stamp_round
 
@@ -195,9 +199,10 @@ class NeighborhoodInbox:
     """A fault-free broadcast delivered whole: every ``acting`` node
     received the payload from each neighbor in ``batch.sent``.
 
-    Same interface as :class:`Inbox`.  The operators are CSR segment
-    operations over the grid, masked by ``acting``; the entry columns are
-    expanded on first read, for code that reads them.
+    Same interface as :class:`Inbox`.  The operators work from the sender
+    mask and the grid (the truthy senders' rows, the :class:`Fold`), masked
+    by ``acting``; the entry columns are expanded on first read, for code
+    that reads them.
     """
 
     __slots__ = ("grid", "batch", "acting", "_expanded")
@@ -221,38 +226,79 @@ class NeighborhoodInbox:
     ival = property(lambda self: self.expanded().ival)
     fval = property(lambda self: self.expanded().fval)
 
-    def any_truthy(self, kind_code: int) -> np.ndarray:
-        """Per-node: any entry of ``kind_code`` with a truthy value."""
-        return self.count_truthy(kind_code) > 0
+    def _receipts(self, kind_code: int) -> Optional[np.ndarray]:
+        """Receivers of every truthy ``kind_code`` entry, acting or not.
 
-    def count_truthy(self, kind_code: int) -> np.ndarray:
-        """Per-node count of truthy entries of ``kind_code``.
-
-        Counted from the sender side: a broadcast reaches the nodes in its
-        sender's row, so the truthy senders' rows list every receipt.
+        Read from the sender side: a broadcast reaches the nodes in its
+        sender's row, so the truthy senders' rows list every receipt, at a
+        cost of ``O(n + sum of their degrees)``.  ``None``: another kind.
         """
         grid, batch = self.grid, self.batch
         if batch.kind != kind_code:
-            return np.zeros(grid.n, dtype=np.int64)
+            return None
         truthy = batch.sent if batch.ival is None else batch.sent & (batch.ival != 0)
-        receipts = grid.indices[np.repeat(truthy, grid.degrees)]
-        return np.where(self.acting, np.bincount(receipts, minlength=grid.n), 0)
+        rows = np.flatnonzero(truthy)
+        return grid.indices[slice_positions(grid.indptr[rows], grid.degrees[rows])]
+
+    def any_truthy(self, kind_code: int) -> np.ndarray:
+        """Per-node: any entry of ``kind_code`` with a truthy value."""
+        hit = np.zeros(self.grid.n, dtype=bool)
+        receipts = self._receipts(kind_code)
+        if receipts is not None:
+            hit[receipts] = True
+            hit &= self.acting
+        return hit
+
+    def count_truthy(self, kind_code: int) -> np.ndarray:
+        """Per-node count of truthy entries of ``kind_code``."""
+        receipts = self._receipts(kind_code)
+        if receipts is None:
+            return np.zeros(self.grid.n, dtype=np.int64)
+        counts = np.bincount(receipts, minlength=self.grid.n)
+        counts[~self.acting] = 0
+        return counts
 
     def ordered_float_sum(self, kind_codes, base: np.ndarray) -> np.ndarray:
-        """:meth:`Inbox.ordered_float_sum` over the grid's receiver rows."""
+        """:meth:`Inbox.ordered_float_sum` over the grid's :class:`Fold`.
+
+        Rows sorted by descending degree make neighbor slot ``k`` of every
+        row that has one a contiguous prefix, so slots ``0, 1, ...`` are
+        whole-array adds, then one in-order ``np.add.at`` adds each row's
+        entries past the last slot.  Every row's additions therefore run
+        left to right over its inbox, bit for bit the reference fold.
+        Non-senders are left out (``where=`` / filtered), not added as 0.0.
+        """
         grid, batch = self.grid, self.batch
+        out = np.array(base, dtype=np.float64)
         if batch.kind not in kind_codes:
-            return np.array(base, dtype=np.float64)
-        rows, senders = grid.edge_src, grid.indices
+            return out
+        fold = grid.fold
+        acc = out[fold.order]
+        if batch.fval is None:
+            payload = np.zeros(len(fold.senders))
+        else:
+            payload = batch.fval[fold.senders]
+        sent = None
         if not (batch.sent | (grid.degrees == 0)).all():
-            # Non-senders are dropped from the rows, not added as 0.0.
-            on_edge = batch.sent[senders]
-            rows, senders = rows[on_edge], senders[on_edge]
-        values = batch.fval[senders] if batch.fval is not None else np.zeros(len(rows))
-        out = ordered_row_sum(rows, values, base)
-        idle = ~self.acting
-        if idle.any():
-            out[idle] = base[idle]
+            sent = batch.sent[fold.senders]
+        start = 0
+        # Python float addition overflows to inf (and inf + -inf gives NaN)
+        # silently; so does this.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for count in fold.counts:
+                stop = start + count
+                head = acc[:count]
+                where = True if sent is None else sent[start:stop]
+                np.add(head, payload[start:stop], out=head, where=where)
+                start = stop
+            tail_rows, tail = fold.tail_rows, payload[fold.head:]
+            if sent is not None:
+                kept = sent[fold.head:]
+                tail_rows, tail = tail_rows[kept], tail[kept]
+            np.add.at(acc, tail_rows, tail)
+        summed = np.empty_like(out)
+        summed[fold.order] = acc
+        np.copyto(out, summed, where=self.acting)
         return out
 
     def received_edges(self, kind_code: int, run) -> np.ndarray:

@@ -3,7 +3,8 @@
 A :class:`KernelGrid` is pure topology plus node weights: the CSR arrays,
 the degree vector, and -- lazily, because only some paths need them -- the
 ``repr``-order machinery that reproduces the algorithms' deterministic
-tie-breaks and the directed-edge index.  It deliberately knows nothing
+tie-breaks, the directed-edge index and the :class:`Fold` layout of the
+order-exact neighborhood sum.  It deliberately knows nothing
 about a run's configuration (``alpha``, ``max_degree`` knowledge, budgets),
 so one grid is shared by every execution on the same graph:
 
@@ -18,11 +19,65 @@ so one grid is shared by every execution on the same graph:
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Callable, Hashable, Optional, Sequence
+from typing import Any, Callable, Hashable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["KernelGrid", "grid_from_network", "grid_from_csr", "output_dicts"]
+from repro.congest.kernels.csr import slice_positions
+
+__all__ = [
+    "FOLD_SLOTS",
+    "Fold",
+    "KernelGrid",
+    "grid_from_network",
+    "grid_from_csr",
+    "output_dicts",
+]
+
+#: Neighbor slots the fold adds as contiguous array prefixes; a row's
+#: entries past this many go to the in-order scatter tail.
+FOLD_SLOTS = 32
+
+
+class Fold(NamedTuple):
+    """The closed-neighborhood sum's layout: rows by descending degree.
+
+    Slot ``k`` of the first ``counts[k]`` sorted rows is their ``k``-th
+    neighbor, so each of the first :data:`FOLD_SLOTS` slots is one contiguous
+    prefix add.  ``senders`` holds those head neighbors slot-major
+    (``head`` entries), then every row's neighbors past the last slot in
+    row-major order, with their sorted-row positions in ``tail_rows``.
+    """
+
+    order: np.ndarray
+    counts: List[int]
+    head: int
+    senders: np.ndarray
+    tail_rows: np.ndarray
+
+
+def _build_fold(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> Fold:
+    # Index arrays stay ``intp``: NumPy casts any other index dtype to it on
+    # every gather, which costs more than the narrower array saves.
+    order = np.argsort(-degrees, kind="stable")
+    sorted_degrees = degrees[order]
+    starts = indptr[:-1][order]
+    # Degrees descend along ``order``, so the rows with degree > k (slot k
+    # occupied) are a prefix; the counts are non-increasing.
+    counts = np.searchsorted(-sorted_degrees, -np.arange(FOLD_SLOTS), side="left")
+    counts = [int(count) for count in counts if count]
+    head = [indices[starts[:count] + slot] for slot, count in enumerate(counts)]
+    long_rows = int(np.searchsorted(-sorted_degrees, -FOLD_SLOTS, side="left"))
+    tail_lengths = sorted_degrees[:long_rows] - FOLD_SLOTS
+    tail_rows = np.repeat(np.arange(long_rows), tail_lengths)
+    tail = indices[slice_positions(starts[:long_rows] + FOLD_SLOTS, tail_lengths)]
+    return Fold(
+        order,
+        counts,
+        sum(counts),
+        np.concatenate(head + [tail]).astype(np.intp, copy=False),
+        tail_rows,
+    )
 
 
 class KernelGrid:
@@ -45,6 +100,7 @@ class KernelGrid:
         "_repr_rank",
         "_edge_src",
         "_edge_keys",
+        "_fold",
     )
 
     def __init__(
@@ -66,6 +122,7 @@ class KernelGrid:
         self._repr_rank: Optional[np.ndarray] = None
         self._edge_src: Optional[np.ndarray] = None
         self._edge_keys: Optional[np.ndarray] = None
+        self._fold: Optional[Fold] = None
 
     # -- tie-break machinery (lazy; only tie-breaking code paths pay) ------
 
@@ -116,6 +173,17 @@ class KernelGrid:
         if self._edge_keys is None:
             self._edge_keys = self.edge_src * self.n + self.indices
         return self._edge_keys
+
+    @property
+    def fold(self) -> Fold:
+        """The :class:`Fold` layout of the ordered neighborhood sum.
+
+        Built from ``indptr``/``indices`` alone, never from :attr:`edge_src`,
+        so fault-free runs that only sum keep the per-edge row column unbuilt.
+        """
+        if self._fold is None:
+            self._fold = _build_fold(self.indptr, self.indices, self.degrees)
+        return self._fold
 
     # -- error-path helpers ------------------------------------------------
 

@@ -260,7 +260,7 @@ class UnknownDegreeProgram:
                 max(1, self.config.get("alpha") or 1), self.epsilon
             )
             self.has_lam |= need_lam
-        self.iterations[live] += 1
+        self.iterations += live
         over = live & ~self.dominated & (self.x > self.lam * self.tau)
         remote, senders, targets = self._cheapest_dominator(over)
         joins_self = over & ~remote
@@ -303,8 +303,8 @@ class UnknownDegreeProgram:
         if inbox is not None:
             self.dominated |= inbox.any_truthy(KIND_JOINED)
         undominated = acting & ~self.dominated
-        self.x[undominated] *= self.one_plus_eps
-        self.increase_count[undominated] += 1
+        np.multiply(self.x, self.one_plus_eps, out=self.x, where=undominated)
+        self.increase_count += undominated
         run.broadcast(
             round_index,
             acting,

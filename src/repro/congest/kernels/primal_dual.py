@@ -14,7 +14,7 @@ round                           program operation
                                 ``x = tau/(Delta+1)``, x-broadcast
 2i (decide)                     ``X_v`` = order-exact closed-neighborhood
                                 sum of ``x``; joiners announce (1 bit)
-2i+1 (increase)                 absorb joins (segment any), ``x *= 1+eps``
+2i+1 (increase)                 absorb joins (sender rows), ``x *= 1+eps``
                                 on the undominated, x-broadcast
 2r+1 (finalize)                 last absorb+increase; undominated nodes
                                 pick the cheapest received closed-
@@ -25,11 +25,13 @@ round                           program operation
 
 Byte-identity with the reference engine is the contract, not an
 aspiration: the decide rounds accumulate floating point packing values, so
-``X_v`` is computed with :func:`~repro.congest.kernels.csr.ordered_row_sum`
--- the exact left-to-right inbox fold -- rather than any reduction that
-could round differently.  The setup-time validation errors (unit weights,
-unknown ``Delta``, unresolvable ``lambda``) are raised in the same
-precedence order as the per-node ``setup`` loop.
+``X_v`` is the inbox's ``ordered_float_sum`` -- the exact left-to-right
+inbox fold, over the grid's :class:`~repro.congest.kernels.grid.Fold` in a
+plain run and :func:`~repro.congest.kernels.csr.ordered_row_sum` over an
+expanded (faulted) inbox -- rather than any reduction that could round
+differently.  The setup-time validation errors (unit weights, unknown
+``Delta``, unresolvable ``lambda``) are raised in the same precedence order
+as the per-node ``setup`` loop.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ class PrimalDualProgram:
         if inbox is not None:
             self.dominated |= inbox.any_truthy(KIND_JOINED_S)
         undominated = acting & ~self.dominated
-        self.x[undominated] *= self.one_plus_eps
-        self.increase_count[undominated] += 1
+        np.multiply(self.x, self.one_plus_eps, out=self.x, where=undominated)
+        self.increase_count += undominated
 
     def _finalize(self, round_index, acting, run):
         grid = self.grid

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 
+import networkx as nx
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,11 +35,12 @@ from repro.congest.kernels.csr import (
     segment_sum,
 )
 from repro.congest.kernels.faults import FaultedRun, Inbox, NeighborhoodInbox, NullHooks
-from repro.congest.kernels.grid import grid_from_csr
+from repro.congest.kernels.grid import FOLD_SLOTS, grid_from_csr
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.graphs import large_scale
 from repro.graphs.arboricity import degeneracy
 from repro.graphs.generators import random_bounded_arboricity_graph
+from repro.run.result import result_bytes
 
 FAST = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -190,55 +192,226 @@ def _broadcast_and_collect(grid, hooks, senders, acting, kind, values, fvalues):
     return run, inbox
 
 
+def _hub_csr(n, alpha, seed, hubs):
+    """A random graph plus ``hubs`` nodes of degree > ``FOLD_SLOTS``.
+
+    The hubs run the fold's scatter tail.  Unpicked filler nodes stay at
+    degree 0, and a random relabelling puts the hubs anywhere in node order.
+    """
+    graph = random_bounded_arboricity_graph(n, alpha=alpha, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(hubs):
+        hub = graph.number_of_nodes()
+        size = FOLD_SLOTS + int(rng.integers(1, 9))
+        graph.add_nodes_from(range(hub, hub + size + 3))
+        others = [node for node in graph.nodes() if node != hub]
+        graph.add_edges_from((hub, int(u)) for u in rng.choice(others, size, replace=False))
+    total = graph.number_of_nodes()
+    graph = nx.relabel_nodes(graph, dict(zip(range(total), rng.permutation(total).tolist())))
+    return large_scale.csr_from_networkx(graph)
+
+
+def _star_csr(leaves):
+    """Node 0 joined to nodes ``1..leaves``: the hub's slot ``k`` is ``k + 1``."""
+    return large_scale.csr_from_networkx(nx.star_graph(leaves))
+
+
+#: Payloads and bases for the inbox sums: ``edge_floats`` plus NaNs of any
+#: bit pattern.
+payload_floats = st.one_of(edge_floats, st.floats(width=64))
+
+
+def _expected_sums(csr, senders, acting, fvalues, base):
+    """The decide-round load by brute force: each acting row's left fold
+    over the neighbors that sent, in row order; idle rows keep ``base``."""
+    expected = []
+    for node in range(csr.n):
+        row = csr.indices[csr.indptr[node]:csr.indptr[node + 1]]
+        terms = [0.0 if fvalues is None else fvalues[u] for u in row if senders[u]]
+        expected.append(_left_fold(base[node], terms) if acting[node] else base[node])
+    return expected
+
+
+def _assert_inbox_forms_agree(csr, senders, acting, kind, values, fvalues, base):
+    """Both inbox forms of one broadcast answer every operator identically,
+    and the ordered sum and receipt counts match brute force."""
+    n = csr.n
+    grid = grid_from_csr(csr)
+    whole_run, whole = _broadcast_and_collect(
+        grid, NullHooks(), senders, acting, kind, values, fvalues
+    )
+    expanded_run, expanded = _broadcast_and_collect(
+        grid, _KeepAll(len(csr.indices)), senders, acting, kind, values, fvalues
+    )
+    assert whole_run.round_metrics.to_dict() == expanded_run.round_metrics.to_dict()
+    if expanded is None and whole is None:
+        return
+    assert isinstance(whole, NeighborhoodInbox)
+    if expanded is None:  # nothing reached an acting node
+        empty = np.empty(0, dtype=np.int64)
+        expanded = Inbox(n, empty, empty, empty, empty, np.empty(0))
+    assert isinstance(expanded, Inbox)
+    expected_sum = _bits(_expected_sums(csr, senders, acting, fvalues, base))
+    for code in (0, 1, 2):
+        assert whole.any_truthy(code).tolist() == expanded.any_truthy(code).tolist()
+        counts = whole.count_truthy(code).tolist()
+        assert counts == expanded.count_truthy(code).tolist()
+        summed = _bits(whole.ordered_float_sum((code,), base))
+        assert summed == _bits(expanded.ordered_float_sum((code,), base))
+        if code == kind:
+            assert summed == expected_sum  # bit-exact, no tolerance
+            assert counts == [
+                sum(
+                    1
+                    for u in csr.indices[csr.indptr[v]:csr.indptr[v + 1]]
+                    if senders[u] and values[u]
+                )
+                if acting[v]
+                else 0
+                for v in range(n)
+            ]
+        else:
+            assert summed == _bits(base)
+        assert (
+            whole.received_edges(code, whole_run).tolist()
+            == expanded.received_edges(code, expanded_run).tolist()
+        )
+    for column in ("recv", "send", "kind", "ival"):
+        assert getattr(whole, column).tolist() == getattr(expanded, column).tolist()
+    assert _bits(whole.fval) == _bits(expanded.fval)
+
+
 class TestInboxForms:
     @FAST
-    @given(**graph_params, data=st.data())
-    def test_whole_neighborhood_inbox_matches_expanded(self, n, alpha, seed, data):
-        _, csr = _random_csr(n, alpha, seed)
-        grid = grid_from_csr(csr)
+    @given(**graph_params, hubs=st.integers(0, 2), data=st.data())
+    def test_whole_neighborhood_inbox_matches_expanded(self, n, alpha, seed, hubs, data):
+        csr = _hub_csr(n, alpha, seed, hubs)
+        n = csr.n
+        rng = np.random.default_rng(seed)
         masks = st.lists(st.booleans(), min_size=n, max_size=n)
-        senders = np.array(data.draw(masks), dtype=bool)
-        acting = np.array(data.draw(masks), dtype=bool)
+        senders = {
+            "all": lambda: np.ones(n, dtype=bool),
+            "drawn": lambda: np.array(data.draw(masks), dtype=bool),
+            "sparse": lambda: rng.random(n) < 0.1,
+        }[data.draw(st.sampled_from(["all", "drawn", "sparse"]))]()
+        acting = (
+            np.array(data.draw(masks), dtype=bool)
+            if data.draw(st.booleans())
+            else np.ones(n, dtype=bool)
+        )
         values = np.array(
             data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
             dtype=np.int64,
         )
-        fvalues = np.array(
-            data.draw(st.lists(edge_floats, min_size=n, max_size=n)), dtype=np.float64
+        floats = st.lists(payload_floats, min_size=n, max_size=n)
+        fvalues = (
+            None if data.draw(st.booleans()) else np.array(data.draw(floats), dtype=np.float64)
         )
-        base = np.array(
-            data.draw(st.lists(edge_floats, min_size=n, max_size=n)), dtype=np.float64
-        )
+        base = np.array(data.draw(floats), dtype=np.float64)
         kind = data.draw(st.integers(0, 2))
-        whole_run, whole = _broadcast_and_collect(
-            grid, NullHooks(), senders, acting, kind, values, fvalues
+        _assert_inbox_forms_agree(csr, senders, acting, kind, values, fvalues, base)
+
+    def test_non_senders_are_left_out_not_added_as_zero(self):
+        # -0.0 + 0.0 is +0.0: the silent leaves past and inside the fold's
+        # head slots must not touch the hub's -0.0.
+        csr = _star_csr(FOLD_SLOTS + 3)
+        n = csr.n
+        senders = np.zeros(n, dtype=bool)
+        senders[0] = True
+        base = np.full(n, -0.0)
+        for acting in (np.ones(n, dtype=bool), np.arange(n) % 2 == 0):
+            _assert_inbox_forms_agree(
+                csr, senders, acting, 1, np.ones(n, np.int64), np.full(n, -0.0), base
+            )
+        whole = _broadcast_and_collect(
+            grid_from_csr(csr), NullHooks(), senders, np.ones(n, dtype=bool), 1,
+            None, np.full(n, -0.0),
+        )[1]
+        assert _bits(whole.ordered_float_sum((1,), base)) == _bits([-0.0] * n)
+
+    def test_head_slots_run_before_the_tail(self):
+        # Left to right the hub sees 1e308 + 1e308 = inf, then inf + -inf =
+        # NaN from its last (tail) neighbor; adding the tail first gives -inf.
+        leaves = FOLD_SLOTS + 2
+        csr = _star_csr(leaves)
+        n = csr.n
+        fvalues = np.zeros(n)
+        fvalues[1] = fvalues[2] = 1e308
+        fvalues[leaves] = float("-inf")
+        base = np.zeros(n)
+        for senders in (np.ones(n, dtype=bool), np.arange(n) != 3):
+            _assert_inbox_forms_agree(
+                csr, senders, np.ones(n, dtype=bool), 2, np.ones(n, np.int64),
+                fvalues, base,
+            )
+        assert _bits([_left_fold(0.0, fvalues[1:])]) != _bits([_left_fold(0.0, fvalues[:0:-1])])
+
+    def test_sparse_truthy_receipts(self):
+        csr = _hub_csr(30, 2, 7, 2)
+        n = csr.n
+        rng = np.random.default_rng(3)
+        senders = rng.random(n) < 0.5
+        values = (rng.random(n) < 0.05).astype(np.int64)
+        values[int(np.argmax(np.diff(csr.indptr)))] = 1  # a truthy hub
+        _assert_inbox_forms_agree(
+            csr, senders | (values > 0), rng.random(n) < 0.8, 0, values, None, np.zeros(n)
         )
-        expanded_run, expanded = _broadcast_and_collect(
-            grid, _KeepAll(len(csr.indices)), senders, acting, kind, values, fvalues
+
+
+class TestFoldLayout:
+    def test_layout_is_slot_major_head_then_row_major_tail(self):
+        csr = _hub_csr(40, 3, 11, 2)
+        fold = grid_from_csr(csr).fold
+        degrees = np.diff(csr.indptr)
+        assert (np.diff(degrees[fold.order]) <= 0).all()
+        assert fold.counts == [
+            int((degrees > slot).sum())
+            for slot in range(FOLD_SLOTS)
+            if (degrees > slot).any()
+        ]
+        rows = [
+            csr.indices[csr.indptr[v]:csr.indptr[v + 1]].tolist() for v in fold.order
+        ]
+        head = [row[slot] for slot in range(FOLD_SLOTS) for row in rows if len(row) > slot]
+        tail = [u for row in rows for u in row[FOLD_SLOTS:]]
+        assert fold.head == len(head)
+        assert fold.senders.tolist() == head + tail
+        assert fold.tail_rows.tolist() == [
+            position for position, row in enumerate(rows) for _ in row[FOLD_SLOTS:]
+        ]
+
+    def test_empty_grid_has_an_empty_fold(self):
+        fold = grid_from_csr(large_scale.csr_from_networkx(nx.empty_graph(0))).fold
+        assert fold.counts == [] and fold.head == 0 and fold.senders.size == 0
+
+    def test_plain_run_builds_the_fold_once_and_no_edge_rows(self):
+        from repro.graphs.large_scale import random_integer_weights
+        from repro.run import RunSpec, Session
+
+        csr = random_integer_weights(
+            large_scale.large_preferential_attachment(400, attachment=3, seed=2), seed=3
         )
-        assert whole_run.round_metrics.to_dict() == expanded_run.round_metrics.to_dict()
-        if expanded is None and whole is None:
-            return
-        assert isinstance(whole, NeighborhoodInbox)
-        if expanded is None:  # nothing reached an acting node
-            empty = np.empty(0, dtype=np.int64)
-            expanded = Inbox(n, empty, empty, empty, empty, np.empty(0))
-        assert isinstance(expanded, Inbox)
-        for column in ("recv", "send", "kind", "ival"):
-            assert getattr(whole, column).tolist() == getattr(expanded, column).tolist()
-        assert _bits(whole.fval) == _bits(expanded.fval)
-        for code in (0, 1, 2):
-            assert whole.any_truthy(code).tolist() == expanded.any_truthy(code).tolist()
-            assert (
-                whole.count_truthy(code).tolist() == expanded.count_truthy(code).tolist()
-            )
-            assert _bits(whole.ordered_float_sum((code,), base)) == _bits(
-                expanded.ordered_float_sum((code,), base)
-            )
-            assert (
-                whole.received_edges(code, whole_run).tolist()
-                == expanded.received_edges(code, expanded_run).tolist()
-            )
+        session = Session()
+        spec = RunSpec(graph=csr, algorithm="weighted", engine="kernel", seed=0)
+        first = session.run(spec)
+        grid = grid_from_csr(csr)
+        fold = grid.fold
+        second = session.run(spec)
+        assert grid_from_csr(csr) is grid and grid.fold is fold
+        assert result_bytes(first) == result_bytes(second)
+        # The per-edge row column is what the fold replaces: a plain run
+        # must not build it (it is 8 bytes per directed edge of RSS).
+        assert grid._edge_src is None
+
+    def test_crash_faulted_run_never_builds_the_fold(self):
+        from repro.run import RunSpec, Session
+
+        csr = large_scale.large_preferential_attachment(300, attachment=3, seed=4)
+        spec = RunSpec(
+            graph=csr, algorithm="weighted", engine="kernel", faults="crash15", seed=0
+        )
+        assert Session().run(spec).engine_used == "kernel"
+        assert grid_from_csr(csr)._fold is None
 
 
 class TestCSRRoundTrip:
