@@ -323,11 +323,6 @@ class TestInboxForms:
             _assert_inbox_forms_agree(
                 csr, senders, acting, 1, np.ones(n, np.int64), np.full(n, -0.0), base
             )
-        whole = _broadcast_and_collect(
-            grid_from_csr(csr), NullHooks(), senders, np.ones(n, dtype=bool), 1,
-            None, np.full(n, -0.0),
-        )[1]
-        assert _bits(whole.ordered_float_sum((1,), base)) == _bits([-0.0] * n)
 
     def test_head_slots_run_before_the_tail(self):
         # Left to right the hub sees 1e308 + 1e308 = inf, then inf + -inf =
