@@ -19,6 +19,10 @@ the kernel tier itself: the same driver applies the compiled
 byte-identical to the per-node engines under the same plan.
 ``RunMetrics.engine_used`` records which tier actually executed, so a
 fallback can never masquerade as a kernel run.
+
+:meth:`KernelEngine.run_grid` is the tier's grid entry point: ``execute``
+calls it on the network's grid, and the CSR path of
+:class:`~repro.run.session.Session` calls it on a streamed graph's grid.
 """
 
 from __future__ import annotations
@@ -39,10 +43,9 @@ class KernelEngine(Engine):
         self._fallback: Optional[BatchedEngine] = None
 
     def execute(self, network, algorithm, *, budget, limit, strict, hooks=None):
-        from repro.congest.kernels import kernel_for
+        from repro.congest.kernels import has_kernel
 
-        kernel = kernel_for(algorithm)
-        if kernel is None:
+        if not has_kernel(algorithm):
             if self._fallback is None:
                 self._fallback = BatchedEngine()
             return self._fallback.execute(
@@ -51,11 +54,28 @@ class KernelEngine(Engine):
             )
         from repro.congest.kernels.grid import grid_from_network
 
-        grid = grid_from_network(network)
-        outputs, metrics = kernel(
-            grid, network.config, algorithm,
-            budget=budget, limit=limit, strict=strict,
-            seed=network.seed, hooks=hooks,
+        return self.run_grid(
+            grid_from_network(network), network.config, algorithm,
+            budget=budget, limit=limit, strict=strict, seed=network.seed,
+            hooks=hooks,
+        )
+
+    def run_grid(
+        self, grid, config, algorithm, *, budget, limit, strict, seed, hooks=None
+    ):
+        """Run ``algorithm``'s program over ``grid``; ``(outputs, RunMetrics)``.
+
+        The grid entry point shared with ``execute`` and the CSR path of
+        :class:`~repro.run.session.Session`; the caller has checked that the
+        algorithm has a program.  ``kernel_for`` is looked up on its module
+        at call time, so a wrapper installed there (the benchmark's traced
+        run) sees every execution.
+        """
+        from repro.congest import kernels
+
+        outputs, metrics = kernels.kernel_for(algorithm)(
+            grid, config, algorithm,
+            budget=budget, limit=limit, strict=strict, seed=seed, hooks=hooks,
         )
         metrics.engine_used = self.name
         return outputs, metrics

@@ -11,7 +11,12 @@ lives in a columnar mailbox instead of per-node dicts:
   (broadcast / single-target unicast / the interleaved neighborhood send of
   the unknown-parameters algorithm), including bandwidth accounting and the
   strict-budget violation with the same ``(sender, receiver, bits)`` naming
-  as the per-node engines.
+  as the per-node engines.  Three seams keep the delivery side replaceable:
+  ``_violation`` raises a budget violation, ``_post_broadcast`` takes a
+  fault-free broadcast batch and ``_push`` takes entry columns.  The sharded
+  worker (:class:`~repro.congest.sharded.halo.ShardedRun`) overrides them to
+  write shared-memory lanes, so both tiers run the same emission and budget
+  rule.
 * Fault decisions come from :meth:`repro.faults.session.FaultSession.edge_fates`
   and the session's crash masks -- the same compiled schedule the per-node
   engines consume, so a fixed ``(plan, graph, seed)`` reproduces the exact
@@ -349,10 +354,26 @@ class FaultedRun:
     # -- mailbox -----------------------------------------------------------
 
     def _push(self, arrival, recv, send, kind, ival, fval, by_recv=False):
+        """Queue entry columns for delivery in round ``arrival``."""
         if recv.size:
             self._mail.setdefault(arrival, []).append(
                 (recv, send, kind, ival, fval, by_recv)
             )
+
+    def _post_broadcast(self, round_index, sent, kind, values, fvalues):
+        """Queue a fault-free broadcast unexpanded for the next round.
+
+        ``values``/``fvalues`` are the program's live columns, which it
+        mutates before delivery, so the batch keeps copies.
+        """
+        self._mail.setdefault(round_index + 1, []).append(
+            _Broadcast(
+                sent,
+                kind,
+                None if values is None else values.copy(),
+                None if fvalues is None else fvalues.copy(),
+            )
+        )
 
     def _collect(self, round_index, crashed_now, acting):
         """Assemble this round's inbox; returns ``(inbox | None, dropped)``."""
@@ -425,6 +446,41 @@ class FaultedRun:
 
     # -- emission ----------------------------------------------------------
 
+    def _violation(self, sender, receiver, bits, round_index):
+        """Raise the strict-budget error naming grid node ``sender`` first."""
+        raise BandwidthViolation(
+            self.grid.node_order[int(sender)],
+            receiver,
+            int(bits),
+            self.budget,
+            round_index=round_index,
+        )
+
+    def _check_neighborhood(self, round_index, effective, sel_src, sel_dst, bits, sel_bits):
+        """The strict budget rule of :meth:`unicast_neighborhood`."""
+        if not (self.strict and self.budget and max(int(bits), int(sel_bits)) > self.budget):
+            return
+        grid = self.grid
+        if int(bits) > self.budget:
+            # Every delivery violates; the per-node engines name the first
+            # sender's first neighbor, whose payload carries the selected
+            # flag when that neighbor is the chosen dominator.
+            first = int(np.argmax(effective))
+            receiver = grid.first_neighbor_id(first)
+            reported = bits
+            slot = int(np.searchsorted(sel_src, first))
+            if (
+                slot < sel_src.size
+                and int(sel_src[slot]) == first
+                and grid.node_order[int(sel_dst[slot])] == receiver
+            ):
+                reported = sel_bits
+            self._violation(first, receiver, reported, round_index)
+        if sel_src.size:
+            self._violation(
+                sel_src[0], grid.node_order[int(sel_dst[0])], sel_bits, round_index
+            )
+
     def _account_kept(self, kept_count, bits):
         """Per-delivery accounting for ``kept_count`` messages of one size."""
         rm = self.round_metrics
@@ -495,23 +551,15 @@ class FaultedRun:
             if scalar_bits:
                 if int(bits) > self.budget:
                     first = int(np.argmax(effective))
-                    raise BandwidthViolation(
-                        grid.node_order[first],
-                        grid.first_neighbor_id(first),
-                        int(bits),
-                        self.budget,
-                        round_index=round_index,
+                    self._violation(
+                        first, grid.first_neighbor_id(first), bits, round_index
                     )
             else:
                 oversized = effective & (bits > self.budget)
                 if oversized.any():
                     first = int(np.argmax(oversized))
-                    raise BandwidthViolation(
-                        grid.node_order[first],
-                        grid.first_neighbor_id(first),
-                        int(bits[first]),
-                        self.budget,
-                        round_index=round_index,
+                    self._violation(
+                        first, grid.first_neighbor_id(first), bits[first], round_index
                     )
         keep, delays = self._edge_fates(round_index)
         if keep is None and delays is None:
@@ -521,14 +569,7 @@ class FaultedRun:
                 self._account_kept(int(degrees[effective].sum()), bits)
             else:
                 self._account_per_sender(np.where(effective, degrees, 0), bits)
-            self._mail.setdefault(round_index + 1, []).append(
-                _Broadcast(
-                    effective,
-                    kind,
-                    None if values is None else values.copy(),
-                    None if fvalues is None else fvalues.copy(),
-                )
-            )
+            self._post_broadcast(round_index, effective, kind, values, fvalues)
             return
         mask = np.repeat(effective, degrees)
         emitted = int(mask.sum())
@@ -568,12 +609,8 @@ class FaultedRun:
             return
         grid = self.grid
         if self.strict and self.budget and int(bits) > self.budget:
-            raise BandwidthViolation(
-                grid.node_order[int(senders_idx[0])],
-                grid.node_order[int(targets_idx[0])],
-                int(bits),
-                self.budget,
-                round_index=round_index,
+            self._violation(
+                senders_idx[0], grid.node_order[int(targets_idx[0])], bits, round_index
             )
         keep, delays = self._edge_fates(round_index)
         kept_edges, src, dst = None, senders_idx, targets_idx
@@ -623,36 +660,7 @@ class FaultedRun:
         effective = senders & (degrees > 0)
         if not effective.any():
             return
-        if self.strict and self.budget and max(int(bits), int(sel_bits)) > self.budget:
-            if int(bits) > self.budget:
-                # Every delivery violates; the per-node engines name the
-                # first sender's first neighbor, whose payload carries the
-                # selected flag when that neighbor is the chosen dominator.
-                first = int(np.argmax(effective))
-                receiver = grid.first_neighbor_id(first)
-                reported = int(bits)
-                slot = int(np.searchsorted(sel_src, first))
-                if (
-                    slot < sel_src.size
-                    and int(sel_src[slot]) == first
-                    and grid.node_order[int(sel_dst[slot])] == receiver
-                ):
-                    reported = int(sel_bits)
-                raise BandwidthViolation(
-                    grid.node_order[first],
-                    receiver,
-                    reported,
-                    self.budget,
-                    round_index=round_index,
-                )
-            if sel_src.size:
-                raise BandwidthViolation(
-                    grid.node_order[int(sel_src[0])],
-                    grid.node_order[int(sel_dst[0])],
-                    int(sel_bits),
-                    self.budget,
-                    round_index=round_index,
-                )
+        self._check_neighborhood(round_index, effective, sel_src, sel_dst, bits, sel_bits)
         edges = np.flatnonzero(np.repeat(effective, degrees))
         kind_all = np.full(edges.size, kind, np.int64)
         bits_all = np.full(edges.size, int(bits), np.int64)

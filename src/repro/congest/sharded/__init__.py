@@ -16,17 +16,18 @@ Modules
     precomputed boundary node/edge lane tables.
 ``shmem``
     The shared-memory transport: control block, double-buffered message
-    lanes, barriers, and the :class:`~repro.congest.sharded.shmem.ShardTransport`
-    seam an mpi4py backend could implement instead.
+    lanes, barriers and queues.
 ``halo``
-    :class:`~repro.congest.sharded.halo.ShardedRun` -- the per-worker
-    emission/assembly runtime the kernel programs talk to (the sharded
-    counterpart of :class:`~repro.congest.kernels.faults.FaultedRun`).
+    :class:`~repro.congest.sharded.halo.ShardedRun` -- the kernel driver
+    (:class:`~repro.congest.kernels.faults.FaultedRun`) over the lanes: a
+    worker runs the kernel's emission and CONGEST budget rule, and only the
+    lane publishing and inbox assembly live here.
 ``worker``
     The worker process entry point.
 ``engine``
-    The coordinator loop, :class:`~repro.congest.sharded.engine.ShardedEngine`,
-    and the sharded-tier telemetry registry.
+    The coordinator loop, :class:`~repro.congest.sharded.engine.ShardedEngine`
+    (whose ``run_grid`` is the tier's grid entry point), and the
+    sharded-tier telemetry registry.
 """
 
 from repro.congest.sharded.engine import (

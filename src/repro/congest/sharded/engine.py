@@ -26,6 +26,11 @@ Byte-identity discipline (the run-level half; the per-round half lives in
 
 Shard-count independence follows from the same discipline: nothing
 observable depends on the partition, only on global node order.
+
+:meth:`ShardedEngine.run_grid` is the tier's grid entry point, the same
+signature as :meth:`~repro.congest.kernels.engine.KernelEngine.run_grid`:
+``execute`` calls it on a network's grid, and the CSR path of
+:class:`~repro.run.session.Session` on a streamed graph's grid.
 """
 
 from __future__ import annotations
@@ -357,16 +362,30 @@ class ShardedEngine(Engine):
         self.barrier_timeout = barrier_timeout
 
     def execute(self, network, algorithm, *, budget, limit, strict, hooks=None):
+        from repro.congest.kernels.grid import grid_from_network
+
+        return self.run_grid(
+            grid_from_network(network), network.config, algorithm,
+            budget=budget, limit=limit, strict=strict, seed=network.seed,
+            hooks=hooks,
+        )
+
+    def run_grid(
+        self, grid, config, algorithm, *, budget, limit, strict, seed, hooks=None
+    ):
+        """Run ``algorithm`` over ``grid`` on this engine's shards.
+
+        The grid entry point shared with ``execute`` and the CSR path of
+        :class:`~repro.run.session.Session`; fault hooks raise
+        :class:`~repro.congest.errors.EngineCapabilityError`.
+        """
         check_capability(
             algorithm, self.name, fault_model=None if hooks is None else "faulted"
         )
-        from repro.congest.kernels.grid import grid_from_network
-
-        grid = grid_from_network(network)
         outputs, metrics = run_sharded_program(
-            grid, network.config, algorithm,
+            grid, config, algorithm,
             budget=budget, limit=limit, strict=strict,
-            seed=network.seed, shards=self.shards,
+            seed=seed, shards=self.shards,
             start_method=self.start_method,
             barrier_timeout=self.barrier_timeout,
         )

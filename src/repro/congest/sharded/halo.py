@@ -1,14 +1,16 @@
-"""Per-worker emission/assembly runtime for the sharded tier.
+"""Per-worker runtime of the sharded tier: the kernel driver over lanes.
 
 :class:`ShardedRun` is the object the kernel *programs*
 (:class:`~repro.congest.kernels.primal_dual.PrimalDualProgram` and friends)
-talk to inside a worker -- the sharded counterpart of
-:class:`~repro.congest.kernels.faults.FaultedRun`.  It exposes the same
-emission surface (``broadcast`` / ``unicast`` / ``unicast_neighborhood`` /
-``edge_positions``) over the shard-local grid, but instead of a mailbox it
-writes the round's outgoing state into the parity-buffered shared-memory
-lanes, and instead of ``_collect`` it *pulls* the next round's inbox out of
-its own CSR rows plus the peers' lanes.
+talk to inside a worker.  It is a
+:class:`~repro.congest.kernels.faults.FaultedRun` under
+:class:`~repro.congest.kernels.faults.NullHooks` on the shard-local grid, so
+``broadcast`` and ``unicast`` -- the strict-budget first-offender checks,
+the fault-free accounting and the broadcast batch -- are the kernel
+driver's own.  What stays here is the transport: the driver's three seams
+write the round's outgoing state into the parity-buffered shared-memory
+lanes instead of a mailbox, and :meth:`ShardedRun.assemble` *pulls* the next
+round's inbox out of this shard's own emissions plus the peers' lanes.
 
 Byte-identity discipline
 ------------------------
@@ -16,13 +18,12 @@ Byte-identity discipline
 * **Ordering.**  ``FaultedRun`` hands every program an inbox grouped by
   receiver and, per receiver, ordered by ascending global sender.  Local
   rows keep the global-ascending neighbor order (see
-  :mod:`~repro.congest.sharded.partition`), so scanning own rows in row
-  order replays that order exactly for broadcast and neighborhood batches;
-  unicast batches are rebuilt with one lexsort on ``(receiver, global
-  sender)``.  ``ordered_float_sum`` and every fold downstream then see the
-  reference insertion order.
+  :mod:`~repro.congest.sharded.partition`), so once the halo senders are
+  filled in from the lanes, ``_Broadcast.columns`` over the local grid
+  yields broadcast and neighborhood entries in exactly that order; unicast
+  batches are rebuilt with one lexsort on ``(receiver, global sender)``.
 * **Accounting.**  Each worker accounts exactly the messages its *own*
-  nodes emit, with the single-process formulas; the coordinator sums
+  nodes emit, with the driver's formulas; the coordinator sums
   ``messages``/``bits`` and maxes ``max_message_bits``, reproducing
   ``RoundMetrics`` field by field.
 * **Violations.**  Strict-budget violations are not raised as
@@ -32,8 +33,9 @@ Byte-identity discipline
   sender index, which is precisely the node ``np.argmax`` finds first on
   the unsharded grid.
 * **Snapshots.**  Payload columns are sampled at emission time in the
-  single-process driver (``values[src]``), so the own-node columns are
-  copied when emitted -- the program mutates them before assembly runs.
+  single-process driver, so a worker copies its own rows when they are
+  emitted -- the program mutates them before assembly runs.  The halo rows
+  travel in the lanes and are never copied.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.congest.kernels.faults import Inbox
+from repro.congest.kernels.faults import FaultedRun, Inbox, NullHooks, _Broadcast
 from repro.congest.metrics import RoundMetrics
 from repro.congest.sharded.shmem import (
     ETYPE_BROADCAST,
@@ -74,38 +76,33 @@ class ShardViolation(Exception):
         self.payload = payload
 
 
-class ShardedRun:
-    """Emission + inbox assembly over one shard's local grid and lanes."""
+class ShardedRun(FaultedRun):
+    """The kernel driver's emission over one shard's local grid and lanes."""
 
     def __init__(self, grid, spec, views: LaneViews, *, budget, strict):
-        self.grid = grid
+        super().__init__(grid, NullHooks(), budget=budget, strict=strict, metrics=None)
         self.spec = spec
         self.views = views
-        self.budget = budget
-        self.strict = strict
         self.shard = spec.index
-        self.round_metrics: Optional[RoundMetrics] = None
         self.halo_bytes = 0
-        local_n = grid.n
-        self.edge_src = grid.edge_src
         # Local rows keep *global*-ascending neighbor order, so (src, dst)
         # keys are not sorted (halo locals sort after own); one argsort
         # permutation makes edge_positions a searchsorted again.
-        keys = self.edge_src * local_n + grid.indices
+        keys = grid.edge_src * grid.n + grid.indices
         self._key_order = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._key_order]
         # Peer shards this shard exchanges with (symmetric: undirected
         # cross edges induce both lane directions).
         self._peers = sorted(spec.in_recv)
         # Owner peer of every halo local id.
-        self._halo_peer = np.full(local_n, -1, dtype=np.int64)
+        self._halo_peer = np.full(grid.n, -1, dtype=np.int64)
         for peer, ids in spec.in_nodes.items():
             self._halo_peer[ids] = peer
-        # Own-emission snapshots, per parity (the receiver-side half of the
-        # lane protocol for messages that never cross a shard boundary).
+        # Own emissions into own nodes, per parity: ``(etype, kind,
+        # sel_kind, batch, pairs)``.  ``batch`` is the own senders'
+        # _Broadcast (broadcast / neighborhood); ``pairs`` the ``(src, dst)``
+        # unicasts or selected neighborhood edges.
         self._own_out: list = [None, None]
-
-    # -- shared helpers ----------------------------------------------------
 
     def edge_positions(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Local CSR edge positions of the directed edges ``src -> dst``."""
@@ -117,217 +114,124 @@ class ShardedRun:
         """Reset this round's stats and clear the outgoing parity buffer."""
         parity = (round_index + 1) % 2
         self._own_out[parity] = None
-        header = self.views.header(parity, self.shard)
-        header[HDR_ETYPE] = ETYPE_NONE
+        self.views.header(parity, self.shard)[HDR_ETYPE] = ETYPE_NONE
         self.round_metrics = RoundMetrics(round_index=round_index)
         self.halo_bytes = 0
 
-    def _violation(self, sender_local, receiver, bits, round_index):
-        grid = self.grid
-        sender_local = int(sender_local)
+    # -- the driver's seams ------------------------------------------------
+
+    def _violation(self, sender, receiver, bits, round_index):
+        sender = int(sender)
         raise ShardViolation(
             {
                 "type": "violation",
-                "sender_global": int(self.spec.own[sender_local]),
-                "sender": grid.node_order[sender_local],
+                "sender_global": int(self.spec.own[sender]),
+                "sender": self.grid.node_order[sender],
                 "receiver": receiver,
                 "bits": int(bits),
                 "round": round_index,
             }
         )
 
-    # -- emission ----------------------------------------------------------
-
-    def broadcast(self, round_index, senders, kind, *, bits, values=None, fvalues=None):
-        grid = self.grid
-        degrees = grid.degrees
-        effective = senders & (degrees > 0)
-        if not effective.any():
-            return
-        scalar_bits = np.isscalar(bits) or np.ndim(bits) == 0
-        if self.strict and self.budget:
-            if scalar_bits:
-                if int(bits) > self.budget:
-                    first = int(np.argmax(effective))
-                    self._violation(
-                        first, grid.first_neighbor_id(first), int(bits), round_index
-                    )
-            else:
-                oversized = effective & (bits > self.budget)
-                if oversized.any():
-                    first = int(np.argmax(oversized))
-                    self._violation(
-                        first, grid.first_neighbor_id(first), int(bits[first]),
-                        round_index,
-                    )
-        kept = int(degrees[effective].sum())
-        rm = self.round_metrics
-        rm.messages += kept
-        if scalar_bits:
-            rm.bits += int(bits) * kept
-            if int(bits) > rm.max_message_bits:
-                rm.max_message_bits = int(bits)
-        else:
-            rm.bits += int(bits[effective] @ degrees[effective])
-            largest = int(bits[effective].max())
-            if largest > rm.max_message_bits:
-                rm.max_message_bits = largest
+    def _post_broadcast(self, round_index, sent, kind, values, fvalues):
+        """Copy the own rows for own receivers; the halo reads the lanes."""
         own_n = self.spec.own_count
         parity = (round_index + 1) % 2
-        self._own_out[parity] = (
-            ETYPE_BROADCAST,
-            int(kind),
-            0,
-            effective[:own_n].copy(),
+        own_batch = _Broadcast(
+            sent[:own_n].copy(),
+            kind,
             None if values is None else values[:own_n].copy(),
             None if fvalues is None else fvalues[:own_n].copy(),
-            None,
         )
-        header = self.views.header(parity, self.shard)
-        header[HDR_KIND] = int(kind)
-        header[HDR_ETYPE] = ETYPE_BROADCAST
-        for peer, nodes in self.spec.out_nodes.items():
-            ival, fval, sent = self.views.node_lane(parity, self.shard, peer)
-            sent[:] = effective[nodes]
-            ival[:] = 1 if values is None else values[nodes]
-            fval[:] = 0.0 if fvalues is None else fvalues[nodes]
-            self.halo_bytes += nodes.size * _NODE_SLOT_BYTES
+        self._own_out[parity] = (ETYPE_BROADCAST, kind, 0, own_batch, None)
+        self._publish(parity, ETYPE_BROADCAST, kind)
+        self._fill_node_lanes(parity, sent, values, fvalues)
 
-    def unicast(self, round_index, senders_idx, targets_idx, kind, *, bits):
-        if not senders_idx.size:
-            return
-        grid = self.grid
-        if self.strict and self.budget and int(bits) > self.budget:
-            self._violation(
-                senders_idx[0],
-                grid.node_order[int(targets_idx[0])],
-                int(bits),
-                round_index,
-            )
-        rm = self.round_metrics
-        size = int(senders_idx.size)
-        rm.messages += size
-        rm.bits += int(bits) * size
-        if int(bits) > rm.max_message_bits:
-            rm.max_message_bits = int(bits)
-        own_n = self.spec.own_count
-        parity = (round_index + 1) % 2
-        own_mask = targets_idx < own_n
-        self._own_out[parity] = (
-            ETYPE_UNICAST,
-            int(kind),
-            0,
-            senders_idx[own_mask].copy(),
-            targets_idx[own_mask].copy(),
-            None,
-            None,
-        )
-        header = self.views.header(parity, self.shard)
-        header[HDR_KIND] = int(kind)
-        header[HDR_ETYPE] = ETYPE_UNICAST
-        self._zero_edge_lanes(parity)
-        cross = ~own_mask
-        if cross.any():
-            self._flag_cross_edges(parity, senders_idx[cross], targets_idx[cross])
+    def _push(self, arrival, recv, send, kind, ival, fval, by_recv=False):
+        """A unicast batch: keep the entries into own nodes, flag the rest.
+
+        Unicasts carry a constant flag, so ``kind[0]`` is the batch's kind
+        and the payload columns hold nothing to ship.
+        """
+        parity = arrival % 2
+        own_target = recv < self.spec.own_count
+        kind = int(kind[0])
+        pairs = (send[own_target], recv[own_target])
+        self._own_out[parity] = (ETYPE_UNICAST, kind, 0, None, pairs)
+        self._publish(parity, ETYPE_UNICAST, kind)
+        self._flag_cross_edges(parity, send[~own_target], recv[~own_target])
+
+    # -- emission ----------------------------------------------------------
 
     def unicast_neighborhood(
         self, round_index, senders, fvalues, kind, sel_src, sel_dst, sel_kind,
         *, bits, sel_bits,
     ):
-        grid = self.grid
-        degrees = grid.degrees
+        """:meth:`FaultedRun.unicast_neighborhood`, published as lanes.
+
+        Every boundary sender's ``fval`` goes out on the node lanes; the
+        selected cross edges are flagged on the edge lanes.
+        """
+        degrees = self.grid.degrees
         effective = senders & (degrees > 0)
         if not effective.any():
             return
-        if self.strict and self.budget and max(int(bits), int(sel_bits)) > self.budget:
-            if int(bits) > self.budget:
-                first = int(np.argmax(effective))
-                receiver = grid.first_neighbor_id(first)
-                reported = int(bits)
-                slot = int(np.searchsorted(sel_src, first))
-                if (
-                    slot < sel_src.size
-                    and int(sel_src[slot]) == first
-                    and grid.node_order[int(sel_dst[slot])] == receiver
-                ):
-                    reported = int(sel_bits)
-                self._violation(first, receiver, reported, round_index)
-            if sel_src.size:
-                self._violation(
-                    sel_src[0],
-                    grid.node_order[int(sel_dst[0])],
-                    int(sel_bits),
-                    round_index,
-                )
-            # No local selecting sender: this shard's deliveries all fit,
-            # exactly like the unsharded emission falling through.
-        total = int(degrees[effective].sum())
-        sel_count = int(sel_src.size)
-        rm = self.round_metrics
-        rm.messages += total
-        rm.bits += int(bits) * total + (int(sel_bits) - int(bits)) * sel_count
-        if sel_count == total:
-            largest = int(sel_bits)
-        elif sel_count:
-            largest = max(int(bits), int(sel_bits))
-        else:
-            largest = int(bits)
-        if largest > rm.max_message_bits:
-            rm.max_message_bits = largest
+        self._check_neighborhood(round_index, effective, sel_src, sel_dst, bits, sel_bits)
+        plain = int(degrees[effective].sum()) - sel_src.size
+        if plain:
+            self._account_kept(plain, bits)
+        if sel_src.size:
+            self._account_kept(sel_src.size, sel_bits)
         own_n = self.spec.own_count
         parity = (round_index + 1) % 2
         own_sel = sel_dst < own_n
+        own_batch = _Broadcast(effective[:own_n].copy(), kind, None, fvalues[:own_n].copy())
         self._own_out[parity] = (
-            ETYPE_NEIGHBORHOOD,
-            int(kind),
-            int(sel_kind),
-            effective[:own_n].copy(),
-            fvalues[:own_n].copy(),
-            sel_src[own_sel].copy(),
-            sel_dst[own_sel].copy(),
+            ETYPE_NEIGHBORHOOD, kind, sel_kind, own_batch,
+            (sel_src[own_sel], sel_dst[own_sel]),
         )
-        header = self.views.header(parity, self.shard)
-        header[HDR_KIND] = int(kind)
-        header[HDR_SEL_KIND] = int(sel_kind)
-        header[HDR_ETYPE] = ETYPE_NEIGHBORHOOD
-        for peer, nodes in self.spec.out_nodes.items():
-            ival, fval, sent = self.views.node_lane(parity, self.shard, peer)
-            sent[:] = effective[nodes]
-            ival[:] = 1
-            fval[:] = fvalues[nodes]
-            self.halo_bytes += nodes.size * _NODE_SLOT_BYTES
-        self._zero_edge_lanes(parity)
-        cross = ~own_sel
-        if cross.any():
-            self._flag_cross_edges(parity, sel_src[cross], sel_dst[cross])
+        self._publish(parity, ETYPE_NEIGHBORHOOD, kind, sel_kind)
+        self._fill_node_lanes(parity, effective, None, fvalues)
+        self._flag_cross_edges(parity, sel_src[~own_sel], sel_dst[~own_sel])
 
-    def _zero_edge_lanes(self, parity: int) -> None:
-        for peer in self.spec.out_edge_keys:
-            lane = self.views.edge_lane(parity, self.shard, peer)
-            lane[:] = 0
+    # -- lane publishing ---------------------------------------------------
+
+    def _publish(self, parity, etype, kind, sel_kind=0):
+        header = self.views.header(parity, self.shard)
+        header[HDR_KIND] = kind
+        header[HDR_SEL_KIND] = sel_kind
+        header[HDR_ETYPE] = etype
+
+    def _fill_node_lanes(self, parity, sent, values, fvalues):
+        """Write the boundary senders' flags and payloads to every peer."""
+        for peer, nodes in self.spec.out_nodes.items():
+            ival, fval, lane_sent = self.views.node_lane(parity, self.shard, peer)
+            lane_sent[:] = sent[nodes]
+            ival[:] = 1 if values is None else values[nodes]
+            fval[:] = 0.0 if fvalues is None else fvalues[nodes]
+            self.halo_bytes += nodes.size * _NODE_SLOT_BYTES
 
     def _flag_cross_edges(self, parity, src, dst):
-        """Set the edge-lane flag of each cross pair ``src -> dst``."""
+        """Clear the outgoing edge lanes, then flag each pair ``src -> dst``."""
+        for peer in self.spec.out_edge_keys:
+            self.views.edge_lane(parity, self.shard, peer)[:] = 0
         local_n = np.int64(self.grid.n)
         peer_of = self._halo_peer[dst]
         for peer in np.unique(peer_of).tolist():
             mask = peer_of == peer
             keys = src[mask] * local_n + dst[mask]
             slots = np.searchsorted(self.spec.out_edge_keys[peer], keys)
-            lane = self.views.edge_lane(parity, self.shard, peer)
-            lane[slots] = 1
+            self.views.edge_lane(parity, self.shard, peer)[slots] = 1
             self.halo_bytes += int(mask.sum())
 
     # -- inbox assembly ----------------------------------------------------
 
     def assemble(self, round_index: int, acting: np.ndarray) -> Optional[Inbox]:
-        """Pull this round's inbox from own rows + the peers' lanes."""
+        """Pull this round's inbox from own emissions + the peers' lanes."""
         parity = round_index % 2
         views = self.views
         own = self._own_out[parity]
-        etype = ETYPE_NONE if own is None else own[0]
-        kind = 0 if own is None else own[1]
-        sel_kind = 0 if own is None else own[2]
+        etype, kind, sel_kind = (ETYPE_NONE, 0, 0) if own is None else own[:3]
         live_peers = []
         for peer in self._peers:
             header = views.header(parity, peer)
@@ -349,112 +253,85 @@ class ShardedRun:
             return None
         if etype == ETYPE_UNICAST:
             return self._assemble_unicast(parity, own, live_peers, kind, acting)
-        return self._assemble_rowscan(
-            parity, own, live_peers, etype, kind, sel_kind, acting
-        )
+        return self._assemble_batch(parity, own, live_peers, etype, kind, sel_kind, acting)
 
-    def _assemble_rowscan(self, parity, own, live_peers, etype, kind, sel_kind, acting):
-        """Broadcast / neighborhood: scan own rows for senders that emitted.
+    def _assemble_batch(self, parity, own, live_peers, etype, kind, sel_kind, acting):
+        """Broadcast / neighborhood: the kernel's batch over the local grid.
 
-        Row-scan order is (receiver ascending, per receiver ascending global
-        sender) -- byte-for-byte the order ``FaultedRun`` delivers both
-        batch shapes in.
+        The lanes fill in the halo senders' flags and payloads; a
+        neighborhood batch then upgrades each selecting sender's entry into
+        its chosen receiver to ``sel_kind``.
         """
-        grid = self.grid
-        spec = self.spec
-        local_n = grid.n
+        grid, spec = self.grid, self.spec
         own_n = spec.own_count
-        sent = np.zeros(local_n, dtype=bool)
-        ival = np.ones(local_n, dtype=np.int64)
-        fval = np.zeros(local_n, dtype=np.float64)
+        neighborhood = etype == ETYPE_NEIGHBORHOOD
+        sent = np.zeros(grid.n, dtype=bool)
+        ival = np.ones(grid.n, dtype=np.int64)
+        fval = np.zeros(grid.n, dtype=np.float64)
+        # The receiver each selecting sender chose (one per sender), or -1.
+        chosen = np.full(grid.n, -1, dtype=np.int64) if neighborhood else None
         if own is not None:
-            sent[:own_n] = own[3]
-            if etype == ETYPE_BROADCAST:
-                if own[4] is not None:
-                    ival[:own_n] = own[4]
-                if own[5] is not None:
-                    fval[:own_n] = own[5]
-            else:
-                fval[:own_n] = own[4]
+            batch = own[3]
+            sent[:own_n] = batch.sent
+            if batch.ival is not None:
+                ival[:own_n] = batch.ival
+            if batch.fval is not None:
+                fval[:own_n] = batch.fval
+            if neighborhood:
+                chosen[own[4][0]] = own[4][1]
         for peer in live_peers:
             lane = self.views.node_lane(parity, peer, self.shard)
-            if lane is None:
-                continue
-            lane_ival, lane_fval, lane_sent = lane
-            ids = spec.in_nodes[peer]
-            sent[ids] = lane_sent.astype(bool)
-            ival[ids] = lane_ival
-            fval[ids] = lane_fval
-        entries = np.flatnonzero(sent[grid.indices])
-        if not entries.size:
+            if lane is not None:
+                ids = spec.in_nodes[peer]
+                ival[ids], fval[ids], sent[ids] = lane
+            flags = self.views.edge_lane(parity, peer, self.shard) if neighborhood else None
+            if flags is not None:
+                flagged = np.flatnonzero(flags)
+                chosen[spec.in_send[peer][flagged]] = spec.in_recv[peer][flagged]
+        recv, send, kinds, ival, fval = _Broadcast(sent, kind, ival, fval).columns(
+            grid, acting
+        )
+        if not recv.size:
             return None
-        recv = self.edge_src[entries]
-        send = grid.indices[entries]
-        kind_arr = np.full(entries.size, kind, dtype=np.int64)
-        if etype == ETYPE_NEIGHBORHOOD:
-            positions = []
-            if own is not None and own[5] is not None and own[5].size:
-                # Own selected pair (u -> v): the entry lives at the
-                # receiver-side slot (v -> u) of the row scan.
-                positions.append(self.edge_positions(own[6], own[5]))
-            for peer in live_peers:
-                lane = self.views.edge_lane(parity, peer, self.shard)
-                if lane is None:
-                    continue
-                flagged = np.flatnonzero(lane)
-                if flagged.size:
-                    positions.append(spec.in_edge_pos[peer][flagged])
-            if positions:
-                slots = np.searchsorted(entries, np.concatenate(positions))
-                kind_arr[slots] = sel_kind
-            out_ival = np.ones(entries.size, dtype=np.int64)
-            out_fval = fval[send]
-        else:
-            out_ival = ival[send]
-            out_fval = fval[send]
-        return self._finish(recv, send, kind_arr, out_ival, out_fval, acting)
+        if neighborhood:
+            kinds[chosen[send] == recv] = sel_kind
+        return Inbox(grid.n, recv, send, kinds, ival, fval)
 
     def _assemble_unicast(self, parity, own, live_peers, kind, acting):
+        """Merge own and peer unicasts in (receiver, global sender) order."""
         spec = self.spec
         recv_parts, send_parts, global_parts = [], [], []
-        if own is not None and own[3].size:
-            recv_parts.append(own[4])
-            send_parts.append(own[3])
-            global_parts.append(spec.own[own[3]])
+        if own is not None:
+            send_own, recv_own = own[4]
+            recv_parts.append(recv_own)
+            send_parts.append(send_own)
+            global_parts.append(spec.own[send_own])
         for peer in live_peers:
             lane = self.views.edge_lane(parity, peer, self.shard)
             if lane is None:
                 continue
             flagged = np.flatnonzero(lane)
-            if flagged.size:
-                recv_parts.append(spec.in_recv[peer][flagged])
-                send_parts.append(spec.in_send[peer][flagged])
-                global_parts.append(spec.in_send_global[peer][flagged])
+            recv_parts.append(spec.in_recv[peer][flagged])
+            send_parts.append(spec.in_send[peer][flagged])
+            global_parts.append(spec.in_send_global[peer][flagged])
         if not recv_parts:
             return None
         recv = np.concatenate(recv_parts)
-        send = np.concatenate(send_parts)
-        send_global = np.concatenate(global_parts)
+        keep = acting[recv]
+        recv = recv[keep]
+        send = np.concatenate(send_parts)[keep]
+        send_global = np.concatenate(global_parts)[keep]
+        if not recv.size:
+            return None
         # Own local ids ascend with global ids, so (recv, global sender) is
         # exactly the single-process (receiver, ascending-sender) order.
         order = np.lexsort((send_global, recv))
-        recv, send = recv[order], send[order]
         size = recv.size
-        return self._finish(
-            recv,
-            send,
+        return Inbox(
+            self.grid.n,
+            recv[order],
+            send[order],
             np.full(size, kind, dtype=np.int64),
             np.ones(size, dtype=np.int64),
             np.zeros(size, dtype=np.float64),
-            acting,
         )
-
-    def _finish(self, recv, send, kind_arr, ival, fval, acting):
-        to_acting = acting[recv]
-        if not to_acting.all():
-            recv, send = recv[to_acting], send[to_acting]
-            kind_arr = kind_arr[to_acting]
-            ival, fval = ival[to_acting], fval[to_acting]
-        if not recv.size:
-            return None
-        return Inbox(self.grid.n, recv, send, kind_arr, ival, fval)

@@ -26,9 +26,7 @@ shard pair ``(a, b)``:
   parallel arrays with no per-message framing.
 * **edge lanes** -- the directed cross edges ``u in a -> v in b`` in
   canonical ``(u_global, v_global)`` order, with the receiver-side mirror
-  carrying the local receiver id, the sender's halo id, and the local CSR
-  position of the receiver's ``v -> u`` slot (for the unknown-parameters
-  selected-edge upgrade).
+  carrying the local receiver id and the sender's halo and global ids.
 
 Every global directed edge lands in exactly one shard's local rows, and
 every cross edge in exactly one out-lane and its mirror -- the round-trip
@@ -109,7 +107,6 @@ class ShardSpec:
     in_recv: Dict[int, np.ndarray] = field(default_factory=dict)  # local own recv ids
     in_send: Dict[int, np.ndarray] = field(default_factory=dict)  # local halo sender ids
     in_send_global: Dict[int, np.ndarray] = field(default_factory=dict)
-    in_edge_pos: Dict[int, np.ndarray] = field(default_factory=dict)  # recv-row CSR slots
 
     @property
     def own_count(self) -> int:
@@ -246,7 +243,6 @@ def build_partition(
                 spec.in_recv[s] = v_loc[order]
                 spec.in_send[s] = (own_n + np.searchsorted(halo, u_glob))[order]
                 spec.in_send_global[s] = u_glob[order]
-                spec.in_edge_pos[s] = np.flatnonzero(mask)[order]
 
     return ShardPlan(
         shards=shards,

@@ -20,15 +20,13 @@ third barrier unnecessary: a worker executing round ``r`` writes parity
 ``(r + 1) % 2`` while every reader of parity ``r % 2`` has necessarily
 passed the round-``r`` publish barrier.
 
-:class:`ShardTransport` is the seam between the worker loop and the wiring:
-an mpi4py backend would implement the same surface with window puts and an
-``MPI.Barrier`` instead of shared memory -- nothing in
-:mod:`~repro.congest.sharded.worker` or the coordinator would change.
+The coordinator owns the blocks through :class:`SharedMemoryTransport`;
+each worker receives a picklable :class:`SharedMemoryEndpoint` and attaches
+it to get its barriers, queues and lane views.
 """
 
 from __future__ import annotations
 
-import abc
 from threading import BrokenBarrierError
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -57,7 +55,6 @@ __all__ = [
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_VIOLATION",
-    "ShardTransport",
     "SharedMemoryEndpoint",
     "SharedMemoryTransport",
     "TransportError",
@@ -193,50 +190,12 @@ class LaneViews:
         self._lanes = None
 
 
-class ShardTransport(abc.ABC):
-    """The worker's view of the run's wiring (shared-memory or MPI).
-
-    The worker loop only ever calls this surface; the sharded tier's
-    correctness argument (two barriers, parity double-buffering) is stated
-    against it, not against shared memory specifically.
-    """
-
-    #: LaneViews over the message lanes + control block.
-    views: LaneViews
-    #: This worker's shard index.
-    shard: int
-
-    @abc.abstractmethod
-    def wait_publish(self) -> None:
-        """Enter the publish barrier (control row + out-lanes visible)."""
-
-    @abc.abstractmethod
-    def wait_command(self) -> int:
-        """Enter the command barrier; return the coordinator's command."""
-
-    @abc.abstractmethod
-    def put_error(self, payload: Any) -> None:
-        """Ship a structured error/violation record to the coordinator."""
-
-    @abc.abstractmethod
-    def put_outputs(self, payload: Any) -> None:
-        """Ship this shard's final outputs to the coordinator."""
-
-    @abc.abstractmethod
-    def abort(self) -> None:
-        """Break both barriers so every party unblocks with an error."""
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Release this process's mappings (never unlinks)."""
-
-
 class SharedMemoryEndpoint:
     """The picklable handle a worker process receives.
 
     Carries the shared-memory names, the layout, both barriers and both
-    queues; :meth:`attach` maps the blocks in the worker and returns the
-    concrete :class:`ShardTransport`.
+    queues; :meth:`attach` maps the blocks in the worker and returns its
+    transport.
     """
 
     def __init__(self, shard, ctrl_name, lanes_name, layout, barrier_publish,
@@ -263,8 +222,16 @@ class SharedMemoryEndpoint:
         return _SharedMemoryWorker(self, ctrl, lanes)
 
 
-class _SharedMemoryWorker(ShardTransport):
-    """Worker-side transport: barriers + queues + mapped views."""
+class _SharedMemoryWorker:
+    """Worker-side transport: barriers + queues + mapped views.
+
+    ``wait_publish`` enters the publish barrier once the control row and
+    out-lanes are written; ``wait_command`` enters the command barrier and
+    returns the coordinator's command word; ``put_error`` and
+    ``put_outputs`` ship structured records to it; ``abort`` breaks both
+    barriers so every party unblocks; ``close`` releases this process's
+    mappings and never unlinks.
+    """
 
     def __init__(self, endpoint: SharedMemoryEndpoint, ctrl, lanes):
         self.shard = endpoint.shard

@@ -401,10 +401,10 @@ class Session:
 
         Dict-based graphs (``csr is None``) run through the
         :class:`Simulator` on the compiled network.  Streamed CSR graphs
-        never build a :class:`Network` (nor a
-        per-node context object): the kernel, or the sharded coordinator,
-        runs straight over the CSR arrays, which is what makes 10^5-node
-        instances tractable.  Fault plans on CSR graphs compile straight
+        never build a :class:`Network` (nor a per-node context object): the
+        engine's ``run_grid`` (kernel or sharded) runs straight over the CSR
+        arrays, which is what makes 10^5-node instances tractable.  Fault
+        plans on CSR graphs compile straight
         against the arrays (:meth:`~repro.faults.session.FaultSession.for_csr`),
         byte-identical to a reference run on ``to_networkx()`` under the
         same plan.
@@ -458,30 +458,16 @@ class Session:
             algorithm, csr, spec.bandwidth_words, spec.max_rounds
         )
         grid = grid_from_csr(csr)
-        if engine.name == "sharded":
-            from repro.congest.sharded.engine import run_sharded_program
+        hooks = None
+        if plan is not None:
+            from repro.faults.session import FaultSession
 
-            outputs, metrics = run_sharded_program(
-                grid, config, algorithm,
-                budget=budget, limit=limit, strict=spec.strict,
-                seed=spec.seed, shards=engine.shards,
-                start_method=engine.start_method,
-                barrier_timeout=engine.barrier_timeout,
-            )
-        else:
-            from repro.congest.kernels import kernel_for
-
-            hooks = None
-            if plan is not None:
-                from repro.faults.session import FaultSession
-
-                hooks = FaultSession.for_csr(plan, csr)
-            outputs, metrics = kernel_for(algorithm)(
-                grid, config, algorithm,
-                budget=budget, limit=limit, strict=spec.strict,
-                seed=spec.seed, hooks=hooks,
-            )
-        metrics.engine_used = engine.name
+            hooks = FaultSession.for_csr(plan, csr)
+        outputs, metrics = engine.run_grid(
+            grid, config, algorithm,
+            budget=budget, limit=limit, strict=spec.strict,
+            seed=spec.seed, hooks=hooks,
+        )
         return RunResult(
             algorithm_name=algorithm.name, outputs=outputs, metrics=metrics
         )

@@ -204,7 +204,8 @@ def _outcome(spec):
 
 
 def _outcomes_on_every_tier(csr, algorithm, **spec_fields):
-    """Outcome per engine on ``csr.to_networkx()``, plus the CSR kernel."""
+    """Outcome per engine on ``csr.to_networkx()``, plus the CSR kernel and
+    the sharded tier (2 shards on the networkx graph, 2 and 4 on the CSR)."""
     graph = csr.to_networkx()
     outcomes = {
         engine: _outcome(
@@ -215,6 +216,16 @@ def _outcomes_on_every_tier(csr, algorithm, **spec_fields):
     outcomes["kernel-csr"] = _outcome(
         RunSpec(graph=csr, algorithm=algorithm, engine="kernel", **spec_fields)
     )
+    outcomes["sharded-2"] = _outcome(
+        RunSpec(graph=graph, algorithm=algorithm, engine="sharded", shards=2, **spec_fields)
+    )
+    for shards in (2, 4):
+        outcomes[f"sharded-csr-{shards}"] = _outcome(
+            RunSpec(
+                graph=csr, algorithm=algorithm, engine="sharded", shards=shards,
+                **spec_fields,
+            )
+        )
     return outcomes
 
 
@@ -254,7 +265,10 @@ def _two_hub_graph(weighted):
 )
 def test_strict_budget_violation_identical_across_engines(algorithm, weighted):
     """Same (sender, receiver, bits, round) on every tier, the CSR kernel
-    included: the first-offender rule lives in each tier's emission code."""
+    and the sharded tier included: the per-node engines name the first
+    offender in their delivery loop, the kernel driver in its emission, and
+    the sharded coordinator picks the smallest global sender among its
+    workers' candidates."""
     outcomes = _outcomes_on_every_tier(
         _two_hub_graph(weighted), algorithm, alpha=2, seed=4,
         bandwidth_words=1, strict=True,

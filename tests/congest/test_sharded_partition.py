@@ -134,11 +134,6 @@ class TestBoundaryLanes:
                 assert np.array_equal(
                     receiver_map[receiver.in_send[a]], receiver.in_send_global[a]
                 )
-                # in_edge_pos names the receiver-row CSR slot of v -> u.
-                pos = receiver.in_edge_pos[a]
-                assert np.array_equal(receiver.indices[pos], receiver.in_send[a])
-                row_of_pos = np.searchsorted(receiver.indptr, pos, side="right") - 1
-                assert np.array_equal(row_of_pos, receiver.in_recv[a])
                 # Node lanes: sender's boundary rows, ascending global, and
                 # the receiver's positionally identical halo mirror.
                 out_nodes = sender.out_nodes[b]

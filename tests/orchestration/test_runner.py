@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -159,6 +160,7 @@ class TestPoolMapOrdered:
         # hostage by the queued jobs -- close() cancels what has not
         # started and returns without waiting for the rest.
         jobs = [2.0] * 6
+        threads_before = set(threading.enumerate())
         start = time.perf_counter()
         stream = pool_map_ordered(_pool_sleep, jobs, workers=2)
         first, _ = next(stream)
@@ -166,3 +168,10 @@ class TestPoolMapOrdered:
         elapsed = time.perf_counter() - start
         assert first == 2.0
         assert elapsed < 5.0, f"early close waited {elapsed:.1f}s for abandoned jobs"
+        # The abandoned pool winds down in the background: its running jobs
+        # finish, then its manager thread joins the workers and exits.  Wait
+        # for that (with a deadline), so later tests that measure this
+        # process's memory do not overlap the shutdown.
+        deadline = time.monotonic() + 30.0
+        for thread in set(threading.enumerate()) - threads_before:
+            thread.join(max(0.0, deadline - time.monotonic()))
