@@ -9,8 +9,10 @@ reference engine (same dominating sets, same per-round
 
 Each kerneled algorithm has exactly one *program*: a class with a
 ``finished`` node mask, ``step(round_index, acting, inbox, run)`` and
-``outputs(count=None)``, constructed as ``program(grid, config, algorithm,
-seed, n_global)`` over a :class:`~repro.congest.kernels.grid.KernelGrid`.
+``outputs(count=None)`` (its output columns in a lazy
+:class:`~repro.congest.kernels.grid.NodeOutputs`), constructed as
+``program(grid, config, algorithm, seed, n_global)`` over a
+:class:`~repro.congest.kernels.grid.KernelGrid`.
 The driver in :mod:`repro.congest.kernels.faults` runs it, with or without
 a compiled :class:`~repro.faults.session.FaultSession`, and the sharded
 tier runs the same class inside its workers.  Programs are registered per

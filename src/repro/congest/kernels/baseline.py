@@ -77,6 +77,4 @@ class LWDeterministicProgram:
             run.broadcast(round_index, joining, KIND_JOINED, bits=1)
 
     def outputs(self, count=None):
-        return output_dicts(
-            self.grid.node_order, {"in_ds": self.in_ds.tolist()}, count
-        )
+        return output_dicts(self.grid.node_order, {"in_ds": self.in_ds}, count)

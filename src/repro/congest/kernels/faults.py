@@ -98,6 +98,8 @@ class NullHooks:
 
     stop_at_limit = False
     report_pending_nodes = False
+    #: Dtype the driver sorts a batch's delays in (never used without delays).
+    delay_sort_dtype = np.int64
     faulty_nodes: Tuple = ()
     crashed_now = None
     permanently_crashed = None
@@ -515,8 +517,13 @@ class FaultedRun:
             return
         # One stable sort groups the batch by delay; each group is then a
         # contiguous slice in the original order, so a receiver-sorted batch
-        # stays receiver-sorted within every group.
-        order = np.argsort(kept_delays, kind="stable")
+        # stays receiver-sorted within every group.  Keys cast to the
+        # session's ``delay_sort_dtype`` (``uint8`` when every delay fits,
+        # where NumPy's stable sort is a radix sort) give the same order.
+        order = np.argsort(
+            kept_delays.astype(self.hooks.delay_sort_dtype, copy=False),
+            kind="stable",
+        )
         recv, send = recv[order], send[order]
         kind, ival, fval = kind[order], ival[order], fval[order]
         grouped = kept_delays[order]

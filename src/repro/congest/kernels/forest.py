@@ -77,6 +77,4 @@ class ForestProgram:
         self.finished |= acting
 
     def outputs(self, count=None):
-        return output_dicts(
-            self.grid.node_order, {"in_ds": self.in_ds.tolist()}, count
-        )
+        return output_dicts(self.grid.node_order, {"in_ds": self.in_ds}, count)

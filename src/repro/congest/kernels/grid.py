@@ -14,12 +14,30 @@ so one grid is shared by every execution on the same graph:
 * built from a :class:`~repro.graphs.large_scale.CSRGraph`, it wraps the
   streamed arrays directly -- no per-node Python objects are ever created,
   which is what lets ``engine="kernel"`` execute 10^5-node instances.
+
+Programs hand their results back the same way: :func:`output_dicts` wraps
+the output columns in a :class:`NodeOutputs`, which reads as the reference
+per-node dicts but builds them only when something reads them.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any, Callable, Hashable, List, NamedTuple, Optional, Sequence
+from collections.abc import Mapping
+from functools import lru_cache
+from itertools import repeat
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -29,6 +47,7 @@ __all__ = [
     "FOLD_SLOTS",
     "Fold",
     "KernelGrid",
+    "NodeOutputs",
     "grid_from_network",
     "grid_from_csr",
     "output_dicts",
@@ -238,22 +257,126 @@ def grid_from_csr(csr_graph: Any) -> KernelGrid:
     return grid
 
 
-def output_dicts(
-    node_order: Sequence[Hashable], columns: "dict", count: Optional[int] = None
-) -> "dict":
-    """Zip per-node column lists into the reference ``outputs`` mapping.
+@lru_cache(maxsize=64)
+def _row_maker(names: Tuple[str, ...]) -> Callable[..., dict]:
+    """A function building one row dict from ``len(names)`` positional values.
 
-    ``columns`` maps field name to a plain Python list (one entry per node,
-    already converted to native scalars); the result is
-    ``{node_id: {field: value, ...}, ...}`` in node order, matching what
-    ``algorithm.output`` would have produced node by node.  ``count`` keeps
-    only the first ``count`` nodes: a sharded worker ships its own rows and
-    must not pay the per-node dict cost of its halo (on large hash
-    partitions the halo is most of the local grid).
+    Its body is a dict display with ``names`` as constant keys, which builds
+    a row faster than ``dict(zip(names, row))``; every row it builds shares
+    one key object per field, so pickling a mapping of rows (with its memo)
+    gives the same bytes either way.  One maker is compiled per name tuple.
     """
-    names = list(columns)
-    value_rows = zip(*(columns[name] for name in names))
-    pairs = zip(node_order, value_rows)
-    if count is not None:
-        pairs = islice(pairs, count)
-    return {node: dict(zip(names, row)) for node, row in pairs}
+    params = [f"v{index}" for index in range(len(names))]
+    display = ", ".join(f"{name!r}: {param}" for name, param in zip(names, params))
+    return eval(f"lambda {', '.join(params)}: {{{display}}}")
+
+
+def _frozen(array: np.ndarray, count: int) -> np.ndarray:
+    view = array[:count]
+    view.flags.writeable = False
+    return view
+
+
+def _column_values(column: Any, count: int) -> Iterable:
+    """One column's per-node values as native Python scalars."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    if isinstance(column, tuple):
+        values, known = column
+        values = values.tolist()
+        for index in np.flatnonzero(~known).tolist():
+            values[index] = None
+        return values
+    return repeat(column, count)
+
+
+class NodeOutputs(Mapping):
+    """A program's per-node outputs as node-ordered columns, read as dicts.
+
+    ``columns`` maps field name to one of: a NumPy array (one entry per
+    node), an ``(array, known)`` pair whose value is ``None`` where ``known``
+    is false, or a scalar shared by every node.  Arrays are stored as
+    read-only views of the first ``count`` rows.
+
+    As a :class:`~collections.abc.Mapping` it is exactly the reference
+    ``{node_id: {field: value, ...}}`` outputs -- same node order, same
+    field order, native scalars -- built on first read and cached, so a
+    run whose consumers read only the columns never builds the dicts.
+    Pickling ships the node order and the columns, never the dicts.
+    """
+
+    __slots__ = ("node_order", "count", "columns", "_dicts")
+
+    def __init__(
+        self, node_order: Sequence[Hashable], columns: Dict[str, Any],
+        count: Optional[int] = None,
+    ):
+        count = len(node_order) if count is None else count
+        self.node_order = node_order
+        self.count = count
+        self.columns = {
+            name: (
+                _frozen(column, count)
+                if isinstance(column, np.ndarray)
+                else tuple(_frozen(part, count) for part in column)
+                if isinstance(column, tuple)
+                else column
+            )
+            for name, column in columns.items()
+        }
+        self._dicts: Optional[dict] = None
+
+    def as_dict(self) -> dict:
+        """The ``{node_id: {field: value}}`` dict (built once, then cached)."""
+        if self._dicts is None:
+            rows = map(
+                _row_maker(tuple(self.columns)),
+                *(_column_values(c, self.count) for c in self.columns.values()),
+            )
+            self._dicts = dict(zip(self.node_order, rows))
+        return self._dicts
+
+    def flags(self, name: str) -> np.ndarray:
+        """Array column ``name`` as a (read-only) boolean array over the rows."""
+        return self.columns[name].astype(bool, copy=False)
+
+    def __getitem__(self, node: Hashable) -> dict:
+        return self.as_dict()[node]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.as_dict())
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodeOutputs):
+            other = other.as_dict()
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self.as_dict() == other
+
+    def __repr__(self) -> str:
+        return f"NodeOutputs({self.count} nodes, fields={list(self.columns)})"
+
+    def __reduce__(self):
+        node_order = self.node_order
+        if len(node_order) != self.count:
+            node_order = node_order[: self.count]
+        return NodeOutputs, (node_order, self.columns, self.count)
+
+
+def output_dicts(
+    node_order: Sequence[Hashable], columns: Dict[str, Any], count: Optional[int] = None
+) -> NodeOutputs:
+    """A program's ``outputs``: a lazy :class:`NodeOutputs` over ``columns``.
+
+    ``columns`` maps field name to a NumPy array, an ``(array, known)`` pair
+    or a constant (see :class:`NodeOutputs`); reading the result as a
+    mapping gives ``{node_id: {field: value, ...}, ...}`` in node order,
+    matching what ``algorithm.output`` would have produced node by node.
+    ``count`` keeps only the first ``count`` nodes: a sharded worker ships
+    its own rows, not its halo (on large hash partitions the halo is most
+    of the local grid).
+    """
+    return NodeOutputs(node_order, columns, count)

@@ -146,9 +146,7 @@ class LWRandomizedProgram:
             run.broadcast(round_index, joiners, KIND_JOINED, bits=1)
 
     def outputs(self, count=None):
-        return output_dicts(
-            self.grid.node_order, {"in_ds": self.in_ds.tolist()}, count
-        )
+        return output_dicts(self.grid.node_order, {"in_ds": self.in_ds}, count)
 
 
 class UnknownDegreeProgram:
@@ -338,23 +336,18 @@ class UnknownDegreeProgram:
 
     def outputs(self, count=None):
         n = self.grid.n if count is None else count
-        tau_column = [
-            int(value) if known else None
-            for value, known in zip(self.tau[:n].tolist(), self.has_tau[:n].tolist())
-        ]
-        x_column = self.x[:n].tolist()
         return output_dicts(
             self.grid.node_order,
             {
-                "in_ds": (self.in_s[:n] | self.in_s_prime[:n]).tolist(),
-                "in_partial": self.in_s[:n].tolist(),
-                "in_extension": self.in_s_prime[:n].tolist(),
-                "x_partial": x_column,
-                "x": x_column,
-                "tau": tau_column,
-                "iterations": self.iterations[:n].tolist(),
-                "alpha_estimate": [None] * n,
-                "fallback_join": [False] * n,
+                "in_ds": self.in_s[:n] | self.in_s_prime[:n],
+                "in_partial": self.in_s,
+                "in_extension": self.in_s_prime,
+                "x_partial": self.x,
+                "x": self.x,
+                "tau": (self.tau, self.has_tau),
+                "iterations": self.iterations,
+                "alpha_estimate": None,
+                "fallback_join": False,
             },
             count,
         )

@@ -225,24 +225,18 @@ class PrimalDualProgram:
 
     def outputs(self, count=None):
         n = self.grid.n if count is None else count
-        tau_column = self.tau[:n].tolist()
-        if not self.has_tau[:n].all():
-            tau_column = [
-                value if known else None
-                for value, known in zip(tau_column, self.has_tau[:n].tolist())
-            ]
         return output_dicts(
             self.grid.node_order,
             {
-                "in_ds": (self.in_s[:n] | self.in_s_prime[:n]).tolist(),
-                "in_partial": self.in_s[:n].tolist(),
-                "in_extension": self.in_s_prime[:n].tolist(),
-                "dominated_by_partial": self.dominated_at_partial[:n].tolist(),
-                "x_partial": self.x_partial[:n].tolist(),
-                "x": self.x[:n].tolist(),
-                "tau": tau_column,
-                "increase_count": self.increase_count[:n].tolist(),
-                "fallback_join": [False] * n,
+                "in_ds": self.in_s[:n] | self.in_s_prime[:n],
+                "in_partial": self.in_s,
+                "in_extension": self.in_s_prime,
+                "dominated_by_partial": self.dominated_at_partial,
+                "x_partial": self.x_partial,
+                "x": self.x,
+                "tau": (self.tau, self.has_tau),
+                "increase_count": self.increase_count,
+                "fallback_join": False,
             },
             count,
         )

@@ -15,9 +15,10 @@ Byte-identity discipline (the run-level half; the per-round half lives in
   per-emission formulas, and ``active_nodes`` is the global pending count
   sampled where the driver samples it, so ``RunMetrics`` reduces field by
   field to the kernel engine's.
-* **Outputs.**  Shards ship their *own* rows only; the merge inserts them
-  in ascending global node order, reproducing the single-process output
-  dict's insertion order (and hence its pickle bytes).
+* **Outputs.**  Shards ship their *own* rows only, as output columns; the
+  coordinator scatters them into global columns in node order, so the
+  result is the single-process program's :class:`NodeOutputs` (and hence
+  has its pickle bytes once materialised).
 * **Errors.**  Pre-spawn validation replays the single-process raise
   precedence for config-level failures; worker-side failures arrive as
   structured payloads and are rebuilt as the exact exception -- violations
@@ -39,11 +40,14 @@ import multiprocessing
 import sys
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.congest.engine import Engine
 from repro.congest.errors import BandwidthViolation, NonConvergenceError
 from repro.congest.kernels import check_capability, program_for
+from repro.congest.kernels.grid import NodeOutputs
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.sharded.partition import build_partition
 from repro.congest.sharded.shmem import (
@@ -147,7 +151,7 @@ def run_sharded_program(
     start_method: Optional[str] = None,
     barrier_timeout: Optional[float] = None,
     tracer: Optional[Any] = None,
-) -> Tuple[dict, RunMetrics]:
+) -> Tuple[Mapping, RunMetrics]:
     """Execute one kernel program across shard worker processes.
 
     Same contract as a kernel callable: returns ``(outputs, RunMetrics)``
@@ -211,7 +215,7 @@ def run_sharded_program(
             workers.append(process)
         outputs = _coordinate(
             transport, plan, metrics, limit=limit, budget=budget,
-            tracer=tracer, workers=workers,
+            tracer=tracer, workers=workers, node_order=grid.node_order,
         )
         return outputs, metrics
     finally:
@@ -232,7 +236,9 @@ def run_sharded_program(
         transport.close()
 
 
-def _coordinate(transport, plan, metrics, *, limit, budget, tracer, workers):
+def _coordinate(
+    transport, plan, metrics, *, limit, budget, tracer, workers, node_order
+):
     """The coordinator's round loop -- the driver loop, one barrier removed.
 
     At publish barrier ``r`` every control row carries the shard's pending
@@ -300,19 +306,20 @@ def _coordinate(transport, plan, metrics, *, limit, budget, tracer, workers):
             if dead
             else "sharded transport broke mid-run"
         ) from None
-    return _collect_outputs(transport, plan, workers, tracer)
+    return _collect_outputs(transport, plan, workers, tracer, node_order)
 
 
-def _collect_outputs(transport, plan, workers, tracer):
-    """Merge shard outputs in ascending global node order.
+def _collect_outputs(transport, plan, workers, tracer, node_order):
+    """Scatter each shard's own-row columns into node-ordered global columns.
 
-    Column-name strings are canonicalised across shards: the single-process
-    ``output_dicts`` shares one name object across every per-node dict, and
-    ``result_bytes`` pickles with a memo, so equal-but-distinct unpickled
-    names per shard would change the byte form without changing any value.
+    A shard ships its program's output columns (:class:`NodeOutputs`
+    columns) over its own rows, ascending in global index; writing them at
+    ``plan.specs[i].own`` rebuilds exactly the single-process columns, so
+    the result is the same lazy :class:`NodeOutputs` the kernel engine
+    returns.  Constant columns are the same in every shard.
     """
-    items: List[Optional[tuple]] = [None] * plan.specs[0].n_global
-    names: Dict[str, str] = {}
+    n_global = plan.specs[0].n_global
+    columns: Dict[str, Any] = {}
     deadline = time.monotonic() + transport.timeout
     collected = 0
     while collected < plan.shards:
@@ -321,23 +328,34 @@ def _collect_outputs(transport, plan, workers, tracer):
                 raise TransportError("timed out collecting shard outputs")
             time.sleep(_OUTPUT_POLL_SECONDS)
             continue
-        shard_index, shard_outputs, maxrss_kib = transport.outputs.get()
-        for global_id, (node, row) in zip(
-            plan.specs[shard_index].own.tolist(), shard_outputs.items()
-        ):
-            items[global_id] = (
-                node,
-                {names.setdefault(name, name): value for name, value in row.items()},
-            )
+        shard_index, shard_columns, maxrss_kib = transport.outputs.get()
+        own = plan.specs[shard_index].own
+        for name, column in shard_columns.items():
+            columns[name] = _scatter(columns.get(name), column, own, n_global)
         if tracer is not None:
             tracer.event(
                 "sharded_shard",
                 shard=shard_index,
-                own_nodes=int(plan.specs[shard_index].own.size),
+                own_nodes=int(own.size),
                 maxrss_kib=maxrss_kib,
             )
         collected += 1
-    return dict(item for item in items if item is not None)
+    return NodeOutputs(node_order, columns, n_global)
+
+
+def _scatter(merged, column, own, n_global):
+    """Write one shard's rows of ``column`` into the global ``merged`` column."""
+    if isinstance(column, tuple):
+        return tuple(
+            _scatter(part_merged, part, own, n_global)
+            for part_merged, part in zip(merged or (None,) * len(column), column)
+        )
+    if not isinstance(column, np.ndarray):
+        return column
+    if merged is None:
+        merged = np.empty(n_global, dtype=column.dtype)
+    merged[own] = column
+    return merged
 
 
 class ShardedEngine(Engine):

@@ -8,7 +8,8 @@ loops the two-barrier round protocol:
 1. publish the control row (pending count, status, and the previous round's
    reduced stats) and enter the **publish** barrier;
 2. enter the **command** barrier and read the coordinator's verdict --
-   ``CONTINUE`` steps one more round, ``FINISH`` ships the shard's outputs,
+   ``CONTINUE`` steps one more round, ``FINISH`` ships the shard's output
+   columns,
    ``ABORT`` returns immediately;
 3. on ``CONTINUE``: assemble the round's inbox from own rows + peer lanes,
    call ``program.step`` against the :class:`~repro.congest.sharded.halo.ShardedRun`,
@@ -149,12 +150,12 @@ def _worker_loop(task: WorkerTask, transport) -> None:
         transport.wait_publish()
         command = transport.wait_command()
         if command == CMD_FINISH:
-            # Own rows only: the halo is most of the local grid on large
-            # hash partitions, and its per-node dicts would dominate the
-            # worker's peak RSS (the coordinator discards them anyway).
-            outputs = {} if program is None else program.outputs(own_n)
+            # Own rows only, as columns: the coordinator scatters them into
+            # the global columns by ``spec.own``, so neither the halo rows
+            # nor the local labels cross the queue.
+            columns = {} if program is None else program.outputs(own_n).columns
             maxrss_kib = peak_rss_kib()
-            transport.put_outputs((spec.index, outputs, maxrss_kib))
+            transport.put_outputs((spec.index, columns, maxrss_kib))
             return
         if command != CMD_CONTINUE:
             return

@@ -14,7 +14,7 @@ They are observationally identical; see :mod:`repro.congest.engine` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Mapping, Optional
 
 import networkx as nx
 
@@ -59,12 +59,28 @@ class RunResult:
     """Outputs plus metrics of one simulated execution."""
 
     algorithm_name: str
-    outputs: Dict[Hashable, Any]
+    outputs: Mapping[Hashable, Any]
     metrics: RunMetrics
 
     @property
     def rounds(self) -> int:
         return self.metrics.rounds
+
+    def selected_mask(self):
+        """The ``in_ds`` flags as a boolean array in node order, or ``None``.
+
+        Only columnar outputs (the kernel and sharded tiers'
+        :class:`~repro.congest.kernels.grid.NodeOutputs`) carry one; reading
+        it builds no per-node dicts.
+        """
+        outputs = self.outputs
+        if isinstance(outputs, dict):
+            return None
+        from repro.congest.kernels.grid import NodeOutputs
+
+        if isinstance(outputs, NodeOutputs) and "in_ds" in outputs.columns:
+            return outputs.flags("in_ds")
+        return None
 
     def selected_nodes(self) -> set:
         """Return the nodes that joined the computed set.
@@ -72,7 +88,16 @@ class RunResult:
         The dominating set algorithms in this repository output a mapping
         with an ``"in_ds"`` flag per node; plain truthy outputs are also
         accepted so simple algorithms can return booleans directly.
+        Columnar outputs are read from their ``in_ds`` column
+        (:meth:`selected_mask`) without building the per-node dicts.
         """
+        mask = self.selected_mask()
+        if mask is not None:
+            import numpy as np
+
+            return set(
+                map(self.outputs.node_order.__getitem__, np.flatnonzero(mask).tolist())
+            )
         selected = set()
         for node, value in self.outputs.items():
             if isinstance(value, dict):

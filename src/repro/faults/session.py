@@ -150,6 +150,11 @@ class FaultSession:
         self._lat_span = lat_high - lat_low + 1
         self._has_drops = bool((drop_p > 0.0).any()) if edge_count else False
         self._has_latency = bool((lat_high > 0).any()) if edge_count else False
+        # The kernel driver stable-sorts each batch's delays; below 256 they
+        # sort as uint8 (a radix sort).  Latency bounds are unbounded above.
+        self.delay_sort_dtype = (
+            np.uint8 if edge_count == 0 or int(lat_high.max()) < 256 else np.int64
+        )
 
         # Link aliveness (churn) over directed edges, plus the undirected
         # live-edge counter reported in the per-round metrics.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional, Set
+from typing import Any, Hashable, Mapping, Optional, Set
 
 import networkx as nx
 
@@ -29,6 +29,12 @@ class DominatingSetResult:
     ``is_valid`` is ``True``/``False`` when the output was checked against
     the graph (the default policy), and ``None`` when the run was executed
     with ``validate="skip"`` -- unknown, not valid.
+
+    ``outputs`` is the per-node ``{node: {field: value}}`` mapping.  On the
+    kernel and sharded tiers it is a lazy
+    :class:`~repro.congest.kernels.grid.NodeOutputs` over the program's
+    columns: the dicts are built on first read, so runs whose consumers
+    only read the set and the weight never build them.
     """
 
     algorithm: str
@@ -37,7 +43,7 @@ class DominatingSetResult:
     rounds: int
     is_valid: Optional[bool]
     metrics: RunMetrics
-    outputs: Dict[Hashable, Any] = field(repr=False, default_factory=dict)
+    outputs: Mapping[Hashable, Any] = field(repr=False, default_factory=dict)
     guarantee: Optional[float] = None
 
     def __len__(self) -> int:
@@ -89,24 +95,25 @@ def package_result_csr(
 
     Weight and the optional domination re-check run as array reductions
     over the CSR layout (:mod:`repro.graphs.large_scale`) instead of graph
-    traversals, so packaging stays cheap at 10^5 nodes.
+    traversals, on the run's ``in_ds`` mask when its outputs are columns,
+    so packaging stays cheap at 10^5 nodes and builds no per-node dicts.
     """
+    import numpy as np
+
     from repro.graphs.large_scale import csr_is_dominating_set
 
     selected = result.selected_nodes()
-    weights = csr_graph.weight_array()
-    weight = 0
-    if selected:
-        import numpy as np
-
-        chosen = np.fromiter(selected, dtype=np.int64, count=len(selected))
-        weight = int(weights[chosen].sum())
+    mask = result.selected_mask()
+    if mask is None:
+        mask = np.zeros(csr_graph.n, dtype=bool)
+        mask[np.fromiter(selected, dtype=np.int64, count=len(selected))] = True
+    weight = int(csr_graph.weight_array()[mask].sum())
     return DominatingSetResult(
         algorithm=result.algorithm_name,
         dominating_set=selected,
         weight=weight,
         rounds=result.rounds,
-        is_valid=csr_is_dominating_set(csr_graph, selected) if validate else None,
+        is_valid=csr_is_dominating_set(csr_graph, mask) if validate else None,
         metrics=result.metrics,
         outputs=result.outputs,
         guarantee=guarantee,
@@ -129,6 +136,12 @@ def result_bytes(result: DominatingSetResult) -> bytes:
     """
     from dataclasses import replace
 
+    outputs = result.outputs
+    if not isinstance(outputs, dict):
+        from repro.congest.kernels.grid import NodeOutputs
+
+        if isinstance(outputs, NodeOutputs):
+            outputs = outputs.as_dict()
     return pickle.dumps(
         (
             result.algorithm,
@@ -137,7 +150,7 @@ def result_bytes(result: DominatingSetResult) -> bytes:
             result.rounds,
             result.is_valid,
             replace(result.metrics, engine_used=None),
-            result.outputs,
+            outputs,
             result.guarantee,
         )
     )

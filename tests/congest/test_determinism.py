@@ -33,7 +33,9 @@ def _trace(graph, algorithm_factory, seed, engine, **kwargs):
 
     result = run_algorithm(graph, algorithm_factory(), seed=seed, engine=engine, **kwargs)
     metrics = dataclasses.replace(result.metrics, engine_used=None)
-    return pickle.dumps((result.algorithm_name, result.outputs, metrics))
+    # dict(): kernel-tier outputs are a lazy column view that pickles as
+    # columns; its materialised dicts are what the engines must agree on.
+    return pickle.dumps((result.algorithm_name, dict(result.outputs), metrics))
 
 
 @pytest.mark.parametrize("engine", sorted(universal_engines()))

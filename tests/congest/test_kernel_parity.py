@@ -379,6 +379,30 @@ def test_csr_runs_fault_plans_byte_identical():
             assert result_bytes(kernel_result) == result_bytes(reference_result), label
 
 
+def test_latencies_past_a_byte_match_the_reference():
+    """The driver sorts delays as ``uint8`` keys (a radix sort) only when the
+    session's largest latency is below 256; both key widths deliver in the
+    reference engine's order."""
+    from repro.faults import FaultSpec
+    from repro.faults.session import FaultSession
+
+    csr = large_scale.large_preferential_attachment(40, attachment=3, seed=6)
+    for latency_max, dtype in ((2, np.uint8), (300, np.int64)):
+        faults = FaultSpec(latency_max=latency_max, drop_probability=0.1, seed=5)
+        plan = faults.materialize(csr)
+        assert FaultSession.for_csr(plan, csr).delay_sort_dtype is dtype
+        for algorithm in ("deterministic", "lw-randomized"):
+            spec = dict(algorithm=algorithm, alpha=csr.alpha, faults=faults, seed=2)
+            kernel = Session().run(RunSpec(graph=csr, engine="kernel", **spec))
+            reference = Session().run(
+                RunSpec(graph=csr.to_networkx(), engine="reference", **spec)
+            )
+            label = f"{algorithm}/latency_max={latency_max}"
+            assert kernel.engine_used == "kernel", label
+            assert kernel.metrics.total_delayed_messages > 0, label
+            assert result_bytes(kernel) == result_bytes(reference), label
+
+
 # --------------------------------------------------------------------------- #
 # Exhaustive grid (pytest -m slow; nightly.yml kernel-parity job)
 # --------------------------------------------------------------------------- #

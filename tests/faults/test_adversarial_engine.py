@@ -50,7 +50,9 @@ def _trace(result):
     import dataclasses
 
     metrics = dataclasses.replace(result.metrics, engine_used=None)
-    return pickle.dumps((result.outputs, metrics))
+    # dict(): kernel-tier outputs are a lazy column view that pickles as
+    # columns; its materialised dicts are what the engines must agree on.
+    return pickle.dumps((dict(result.outputs), metrics))
 
 
 # --------------------------------------------------------------------------- #
