@@ -271,8 +271,13 @@ def _row_maker(names: Tuple[str, ...]) -> Callable[..., dict]:
     return eval(f"lambda {', '.join(params)}: {{{display}}}")
 
 
-def _frozen(array: np.ndarray, count: int) -> np.ndarray:
-    view = array[:count]
+def _stored(column: Any, count: int) -> Any:
+    """``column`` as kept: arrays become read-only views of ``count`` rows."""
+    if isinstance(column, tuple):
+        return tuple(_stored(part, count) for part in column)
+    if not isinstance(column, np.ndarray):
+        return column
+    view = column[:count]
     view.flags.writeable = False
     return view
 
@@ -314,16 +319,7 @@ class NodeOutputs(Mapping):
         count = len(node_order) if count is None else count
         self.node_order = node_order
         self.count = count
-        self.columns = {
-            name: (
-                _frozen(column, count)
-                if isinstance(column, np.ndarray)
-                else tuple(_frozen(part, count) for part in column)
-                if isinstance(column, tuple)
-                else column
-            )
-            for name, column in columns.items()
-        }
+        self.columns = {name: _stored(column, count) for name, column in columns.items()}
         self._dicts: Optional[dict] = None
 
     def as_dict(self) -> dict:
