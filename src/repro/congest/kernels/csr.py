@@ -17,11 +17,9 @@ The primitives come in two flavors:
   pairwise or reordered summation would produce a different dominating set
   than the reference engine on some instances.  The sum therefore replays
   the reference engine's left-to-right accumulation exactly, as one
-  unbuffered in-order scatter-add over an expanded inbox's entries.  A
-  fault-free broadcast is summed over the grid's cached
-  :class:`~repro.congest.kernels.grid.Fold` instead (contiguous prefix adds
-  per neighbor slot, this scatter-add only for the slots past the last);
-  see :meth:`repro.congest.kernels.faults.NeighborhoodInbox.ordered_float_sum`.
+  unbuffered in-order scatter-add over the summed rows' entries: an
+  expanded inbox's, or the CSR slices of a fault-free broadcast's receivers
+  (:meth:`repro.congest.kernels.faults.NeighborhoodInbox.ordered_float_sum`).
 * **Slice gathering** (:func:`slice_positions`): the edge positions of a
   set of neighbor slices, which lets an operator touch only the rows it
   needs instead of every edge.

@@ -25,11 +25,9 @@ lives in a columnar mailbox instead of per-node dicts:
   no edge fates a broadcast is never expanded into per-edge entries: it is
   delivered as a :class:`NeighborhoodInbox` (the sender mask plus the
   payload columns).  Its receipt operators (``any_truthy``/``count_truthy``)
-  read only the truthy senders' rows, and its ordered sum runs over the
-  grid's cached :class:`~repro.congest.kernels.grid.Fold`: one payload
-  gather, one contiguous add per neighbor slot, one in-order scatter-add for
-  the high-degree rows' remaining entries.  So a plain run never pays for
-  per-edge entries.
+  read only the truthy senders' rows, and its ordered sum reads only the
+  summed rows' CSR slices: one gather and one in-order scatter-add.  So a
+  plain run never pays for per-edge entries.
 
 Message payloads are encoded as a per-entry ``kind`` code plus one integer
 and one float column; every payload any kerneled algorithm sends fits this
@@ -145,15 +143,18 @@ class Inbox:
         mask = (self.kind == kind_code) & (self.ival != 0)
         return np.bincount(self.recv[mask], minlength=self.n)
 
-    def ordered_float_sum(self, kind_codes, base: np.ndarray) -> np.ndarray:
+    def ordered_float_sum(self, kind_codes, base: np.ndarray, rows=None) -> np.ndarray:
         """``base[v] + fval`` summed over matching entries in inbox order.
 
         Replays the reference engine's left-to-right float accumulation.
         Entries of other kinds contribute ``payload.get("x", 0.0) == 0.0``
         in the reference loop, which leaves every sum unchanged, so they are
-        left out.
+        left out.  ``rows`` (a node mask, ``None``: all) selects the rows
+        that are summed; every other row keeps ``base``.
         """
         entries = np.isin(self.kind, kind_codes)
+        if rows is not None:
+            entries &= rows[self.recv]
         return ordered_row_sum(self.recv[entries], self.fval[entries], base)
 
     def received_edges(self, kind_code: int, run) -> np.ndarray:
@@ -207,7 +208,7 @@ class NeighborhoodInbox:
     received the payload from each neighbor in ``batch.sent``.
 
     Same interface as :class:`Inbox`.  The operators work from the sender
-    mask and the grid (the truthy senders' rows, the :class:`Fold`), masked
+    mask and the grid (the truthy senders' rows, the summed rows), masked
     by ``acting``; the entry columns are expanded on first read, for code
     that reads them.
     """
@@ -265,48 +266,30 @@ class NeighborhoodInbox:
         counts[~self.acting] = 0
         return counts
 
-    def ordered_float_sum(self, kind_codes, base: np.ndarray) -> np.ndarray:
-        """:meth:`Inbox.ordered_float_sum` over the grid's :class:`Fold`.
+    def ordered_float_sum(self, kind_codes, base: np.ndarray, rows=None) -> np.ndarray:
+        """:meth:`Inbox.ordered_float_sum` over the summed rows' CSR slices.
 
-        Rows sorted by descending degree make neighbor slot ``k`` of every
-        row that has one a contiguous prefix, so slots ``0, 1, ...`` are
-        whole-array adds, then one in-order ``np.add.at`` adds each row's
-        entries past the last slot.  Every row's additions therefore run
-        left to right over its inbox, bit for bit the reference fold.
-        Non-senders are left out (``where=`` / filtered), not added as 0.0.
+        A receiver's row lists its senders in inbox order, so gathering the
+        summed rows' slices and one in-order :func:`ordered_row_sum` replay
+        the reference fold bit for bit.  Neighbors that did not send are
+        left out, not added as 0.0.
         """
         grid, batch = self.grid, self.batch
-        out = np.array(base, dtype=np.float64)
         if batch.kind not in kind_codes:
-            return out
-        fold = grid.fold
-        acc = out[fold.order]
+            return np.array(base, dtype=np.float64)
+        summed = self.acting if rows is None else self.acting & rows
+        receivers = np.flatnonzero(summed)
+        lengths = grid.degrees[receivers]
+        senders = grid.indices[slice_positions(grid.indptr[receivers], lengths)]
+        receivers = np.repeat(receivers, lengths)
+        sent = batch.sent[senders]
+        if not sent.all():
+            receivers, senders = receivers[sent], senders[sent]
         if batch.fval is None:
-            payload = np.zeros(len(fold.senders))
+            payload = np.zeros(senders.size)
         else:
-            payload = batch.fval[fold.senders]
-        sent = None
-        if not (batch.sent | (grid.degrees == 0)).all():
-            sent = batch.sent[fold.senders]
-        start = 0
-        # Python float addition overflows to inf (and inf + -inf gives NaN)
-        # silently; so does this.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for count in fold.counts:
-                stop = start + count
-                head = acc[:count]
-                where = True if sent is None else sent[start:stop]
-                np.add(head, payload[start:stop], out=head, where=where)
-                start = stop
-            tail_rows, tail = fold.tail_rows, payload[fold.head:]
-            if sent is not None:
-                kept = sent[fold.head:]
-                tail_rows, tail = tail_rows[kept], tail[kept]
-            np.add.at(acc, tail_rows, tail)
-        summed = np.empty_like(out)
-        summed[fold.order] = acc
-        np.copyto(out, summed, where=self.acting)
-        return out
+            payload = batch.fval[senders]
+        return ordered_row_sum(receivers, payload, base)
 
     def received_edges(self, kind_code: int, run) -> np.ndarray:
         """:meth:`Inbox.received_edges` without expanding the entries."""

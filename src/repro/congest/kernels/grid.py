@@ -3,8 +3,9 @@
 A :class:`KernelGrid` is pure topology plus node weights: the CSR arrays,
 the degree vector, and -- lazily, because only some paths need them -- the
 ``repr``-order machinery that reproduces the algorithms' deterministic
-tie-breaks, the directed-edge index and the :class:`Fold` layout of the
-order-exact neighborhood sum.  It deliberately knows nothing
+tie-breaks (every node's rank and the rank order itself) and the
+directed-edge index.  The order-exact neighborhood sum needs no layout of
+its own: it gathers the summed rows' CSR slices.  It deliberately knows nothing
 about a run's configuration (``alpha``, ``max_degree`` knowledge, budgets),
 so one grid is shared by every execution on the same graph:
 
@@ -32,8 +33,6 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
-    List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -41,63 +40,13 @@ from typing import (
 
 import numpy as np
 
-from repro.congest.kernels.csr import slice_positions
-
 __all__ = [
-    "FOLD_SLOTS",
-    "Fold",
     "KernelGrid",
     "NodeOutputs",
     "grid_from_network",
     "grid_from_csr",
     "output_dicts",
 ]
-
-#: Neighbor slots the fold adds as contiguous array prefixes; a row's
-#: entries past this many go to the in-order scatter tail.
-FOLD_SLOTS = 32
-
-
-class Fold(NamedTuple):
-    """The closed-neighborhood sum's layout: rows by descending degree.
-
-    Slot ``k`` of the first ``counts[k]`` sorted rows is their ``k``-th
-    neighbor, so each of the first :data:`FOLD_SLOTS` slots is one contiguous
-    prefix add.  ``senders`` holds those head neighbors slot-major
-    (``head`` entries), then every row's neighbors past the last slot in
-    row-major order, with their sorted-row positions in ``tail_rows``.
-    """
-
-    order: np.ndarray
-    counts: List[int]
-    head: int
-    senders: np.ndarray
-    tail_rows: np.ndarray
-
-
-def _build_fold(indptr: np.ndarray, indices: np.ndarray, degrees: np.ndarray) -> Fold:
-    # Index arrays stay ``intp``: NumPy casts any other index dtype to it on
-    # every gather, which costs more than the narrower array saves.
-    order = np.argsort(-degrees, kind="stable")
-    sorted_degrees = degrees[order]
-    starts = indptr[:-1][order]
-    # Degrees descend along ``order``, so the rows with degree > k (slot k
-    # occupied) are a prefix; the counts are non-increasing.
-    counts = np.searchsorted(-sorted_degrees, -np.arange(FOLD_SLOTS), side="left")
-    counts = [int(count) for count in counts if count]
-    head = [indices[starts[:count] + slot] for slot, count in enumerate(counts)]
-    long_rows = int(np.searchsorted(-sorted_degrees, -FOLD_SLOTS, side="left"))
-    tail_lengths = sorted_degrees[:long_rows] - FOLD_SLOTS
-    tail_rows = np.repeat(np.arange(long_rows), tail_lengths)
-    tail = indices[slice_positions(starts[:long_rows] + FOLD_SLOTS, tail_lengths)]
-    return Fold(
-        order,
-        counts,
-        sum(counts),
-        np.concatenate(head + [tail]).astype(np.intp, copy=False),
-        tail_rows,
-    )
-
 
 class KernelGrid:
     """CSR topology + weights, with lazily built kernel machinery.
@@ -117,9 +66,9 @@ class KernelGrid:
         "_first_neighbor",
         "_reprs",
         "_repr_rank",
+        "_node_by_rank",
         "_edge_src",
         "_edge_keys",
-        "_fold",
     )
 
     def __init__(
@@ -139,9 +88,9 @@ class KernelGrid:
         self._first_neighbor = first_neighbor
         self._reprs: Optional[np.ndarray] = None
         self._repr_rank: Optional[np.ndarray] = None
+        self._node_by_rank: Optional[np.ndarray] = None
         self._edge_src: Optional[np.ndarray] = None
         self._edge_keys: Optional[np.ndarray] = None
-        self._fold: Optional[Fold] = None
 
     # -- tie-break machinery (lazy; only tie-breaking code paths pay) ------
 
@@ -158,16 +107,23 @@ class KernelGrid:
         return self._reprs
 
     @property
-    def repr_rank(self) -> np.ndarray:
-        """Rank of every node in ``sorted(nodes, key=repr)`` order.
+    def node_by_rank(self) -> np.ndarray:
+        """Node indices in ``sorted(nodes, key=repr)`` order.
 
         The stable sort breaks equal ``repr`` strings by node index, which
         matches ``sorted(inbox.items(), key=lambda item: repr(item[0]))``
         on an inbox whose insertion order is global node order.
         """
+        if self._node_by_rank is None:
+            self._node_by_rank = np.argsort(self.reprs, kind="stable")
+        return self._node_by_rank
+
+    @property
+    def repr_rank(self) -> np.ndarray:
+        """Rank of every node in :attr:`node_by_rank` (its inverse)."""
         if self._repr_rank is None:
             rank = np.empty(self.n, dtype=np.int64)
-            rank[np.argsort(self.reprs, kind="stable")] = np.arange(self.n)
+            rank[self.node_by_rank] = np.arange(self.n)
             self._repr_rank = rank
         return self._repr_rank
 
@@ -192,17 +148,6 @@ class KernelGrid:
         if self._edge_keys is None:
             self._edge_keys = self.edge_src * self.n + self.indices
         return self._edge_keys
-
-    @property
-    def fold(self) -> Fold:
-        """The :class:`Fold` layout of the ordered neighborhood sum.
-
-        Built from ``indptr``/``indices`` alone, never from :attr:`edge_src`,
-        so fault-free runs that only sum keep the per-edge row column unbuilt.
-        """
-        if self._fold is None:
-            self._fold = _build_fold(self.indptr, self.indices, self.degrees)
-        return self._fold
 
     # -- error-path helpers ------------------------------------------------
 

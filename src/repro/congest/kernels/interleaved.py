@@ -66,7 +66,6 @@ class LWRandomizedProgram:
         self.span = np.zeros(n, dtype=np.int64)
         self.pending_self = np.zeros(n, dtype=bool)
         self._rngs: dict = {}
-        self._node_by_rank = None
 
     def _draw(self, index):
         """One coin flip from the node's private reference RNG stream."""
@@ -122,9 +121,7 @@ class LWRandomizedProgram:
                 np.maximum.at(best, inbox.recv, entry_span * n + rank[inbox.send])
             deciders = acting & ~self.covered
             if deciders.any():
-                if self._node_by_rank is None:
-                    self._node_by_rank = np.argsort(rank, kind="stable")
-                nominee = self._node_by_rank[best % n]
+                nominee = grid.node_by_rank[best % n]
                 self_nominated = deciders & (nominee == np.arange(n))
                 self.pending_self |= self_nominated
                 senders = np.flatnonzero(deciders & ~self_nominated)
@@ -228,8 +225,7 @@ class UnknownDegreeProgram:
             min_rank = segment_min_argrank(
                 grid.indptr, received, grid.repr_rank[grid.indices], neighbor_min
             )
-            node_by_rank = np.argsort(grid.repr_rank, kind="stable")
-            targets = node_by_rank[min_rank[remote]]
+            targets = grid.node_by_rank[min_rank[remote]]
         return remote, senders, targets
 
     def _round_a(self, round_index, acting, inbox, run):
@@ -301,7 +297,7 @@ class UnknownDegreeProgram:
         if inbox is not None:
             self.dominated |= inbox.any_truthy(KIND_JOINED)
         undominated = acting & ~self.dominated
-        np.multiply(self.x, self.one_plus_eps, out=self.x, where=undominated)
+        self.x *= 1.0 + (self.one_plus_eps - 1.0) * undominated
         self.increase_count += undominated
         run.broadcast(
             round_index,

@@ -13,7 +13,8 @@ round                           program operation
                                 (per-edge mask + segment min),
                                 ``x = tau/(Delta+1)``, x-broadcast
 2i (decide)                     ``X_v`` = order-exact closed-neighborhood
-                                sum of ``x``; joiners announce (1 bit)
+                                sum of ``x`` over the rows that can still
+                                join; joiners announce (1 bit)
 2i+1 (increase)                 absorb joins (sender rows), ``x *= 1+eps``
                                 on the undominated, x-broadcast
 2r+1 (finalize)                 last absorb+increase; undominated nodes
@@ -26,22 +27,27 @@ round                           program operation
 Byte-identity with the reference engine is the contract, not an
 aspiration: the decide rounds accumulate floating point packing values, so
 ``X_v`` is the inbox's ``ordered_float_sum`` -- the exact left-to-right
-inbox fold, over the grid's :class:`~repro.congest.kernels.grid.Fold` in a
-plain run and :func:`~repro.congest.kernels.csr.ordered_row_sum` over an
-expanded (faulted) inbox -- rather than any reduction that could round
-differently.  The setup-time validation errors (unit weights, unknown
+inbox fold, :func:`~repro.congest.kernels.csr.ordered_row_sum` over the
+summed rows -- rather than any reduction that could round differently.
+Most rows need no sum at all: a certified per-node upper bound on ``X_v``
+(see :meth:`PrimalDualProgram._due_rows`) shows that they cannot reach
+their join threshold this round, so only the remaining candidates are
+summed.  The setup-time validation errors (unit weights, unknown
 ``Delta``, unresolvable ``lambda``) are raised in the same precedence order
 as the per-node ``setup`` loop.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro.congest.kernels.csr import int_bit_lengths, segment_min, segment_min_argrank
 from repro.congest.kernels.faults import KIND_JOINED_S, KIND_SELECTED, KIND_WEIGHT, KIND_X
+from repro.congest.kernels.faults import NeighborhoodInbox
 from repro.congest.kernels.grid import output_dicts
 from repro.congest.message import word_size_bits
 from repro.core.partial import partial_iteration_count
@@ -58,6 +64,17 @@ _UNKNOWN_DELTA_MESSAGE = (
     "this algorithm assumes Delta is global knowledge; use the "
     "UnknownDegree variant (Remark 4.4) otherwise"
 )
+_TINY = np.finfo(np.float64).tiny  # the smallest positive normal float64
+
+
+def _growth_factor(c, k):
+    """The least float ``>= c (1+u) (1+g) / ((1-g) (1-u))``, ``u = 2**-53``,
+    ``g = k u / (1 - k u)``: computed exactly, then rounded up."""
+    u = Fraction(1, 2 ** 53)
+    gamma = k * u / (1 - k * u)
+    needed = Fraction(c) * (1 + u) * (1 + gamma) / ((1 - gamma) * (1 - u))
+    rho = float(needed)
+    return rho if Fraction(rho) >= needed else math.nextafter(rho, math.inf)
 
 
 def _validated_schedule(grid, config, algorithm):
@@ -132,6 +149,11 @@ class PrimalDualProgram:
         # Per directed edge v->u: did v receive u's round-0 weight report?
         self.got_weight = np.zeros(len(grid.indices), dtype=bool)
         self.finished = np.zeros(n, dtype=bool)
+        # ``_due_rows``'s load bounds (None: none held) need every x to be 0
+        # or normal: positive weights and a normal 1/(Delta+1) ensure it.
+        self.bounded = n > 0 and self.max_degree < 2 ** 1021 and (self.weights > 0).all()
+        self.rho = _growth_factor(self.one_plus_eps, int(grid.degrees.max(initial=0)) + 1)
+        self.load_bound = None
 
     def _received_weights(self):
         """Per edge ``v -> u``: ``w_u`` if ``v`` received it, else a sentinel."""
@@ -155,8 +177,63 @@ class PrimalDualProgram:
         if inbox is not None:
             self.dominated |= inbox.any_truthy(KIND_JOINED_S)
         undominated = acting & ~self.dominated
-        np.multiply(self.x, self.one_plus_eps, out=self.x, where=undominated)
+        self.x *= 1.0 + (self.one_plus_eps - 1.0) * undominated
         self.increase_count += undominated
+
+    def _due_rows(self, candidates, inbox):
+        """The ``candidates`` whose load may reach ``w_v/(1+eps)`` this round.
+
+        ``load_bound`` holds ``B_v``: a summed row's exact load ``L_v``,
+        times ``rho`` per decide round since (NaN for a row that was no
+        candidate last round).  A row is due when ``B_v`` reaches its
+        threshold or is zero, subnormal or not finite.
+
+        Proof that a skipped row would not join.  Let ``S_v`` be the exact
+        sum of its ``<= K`` nonnegative terms (``K`` the largest closed
+        neighborhood), ``u = 2**-53`` and ``g = K u / (1 - K u)``: a left to
+        right float64 sum has ``|L_v - S_v| <= g S_v``.  Between two decide
+        rounds each ``x`` is multiplied at most once by ``c = 1+eps`` and
+        rounded, and is 0 or normal (positive weights, normal
+        ``tau/(Delta+1)``), so ``x' <= c (1+u) x``; both inboxes hold every
+        neighbor's current ``x``, so ``S'_v <= c (1+u) S_v``.  If
+        ``S_v <= B_v/(1-g)`` (true for ``B_v = L_v``), a normal
+        ``B'_v = fl(rho B_v) >= (1-u) rho B_v >= (1+g) S'_v`` by the choice
+        of ``rho``.  That carries the hypothesis and gives
+        ``L'_v <= (1+g) S'_v <= B'_v``, below the threshold if ``B'_v`` is.
+        An overflowing sum or bound is infinite, hence due.
+
+        Bounds are held only while the weights are positive and the inbox is
+        a fault-free x-broadcast delivered whole from every node with a
+        neighbor; any other round drops them and makes every candidate due.
+        """
+        grid = self.grid
+        if not (
+            self.bounded
+            and isinstance(inbox, NeighborhoodInbox)
+            and inbox.batch.kind == KIND_X
+            and np.array_equal(inbox.batch.sent, grid.degrees > 0)
+        ):
+            self.load_bound = None
+            return candidates
+        if self.load_bound is None:
+            self.load_bound = np.full(grid.n, np.nan)
+        bound = self.load_bound
+        with np.errstate(over="ignore"):
+            bound *= self.rho
+        return candidates & ~((bound >= _TINY) & (bound < self.join_threshold))
+
+    def _decide(self, round_index, acting, inbox, run):
+        """Decide round (P2): candidates whose load reaches the threshold join."""
+        candidates = acting & ~self.in_s
+        due = self._due_rows(candidates, inbox)
+        load = self.x if inbox is None else inbox.ordered_float_sum((KIND_X,), self.x, due)
+        joining = due & (load >= self.join_threshold)
+        if self.load_bound is not None:
+            np.copyto(self.load_bound, load, where=due)
+            np.copyto(self.load_bound, np.nan, where=~candidates)
+        self.in_s |= joining
+        self.dominated |= joining
+        run.broadcast(round_index, joining, KIND_JOINED_S, bits=1)
 
     def _finalize(self, round_index, acting, run):
         grid = self.grid
@@ -174,8 +251,7 @@ class PrimalDualProgram:
             min_rank = segment_min_argrank(
                 grid.indptr, received, grid.repr_rank[grid.indices], neighbor_min
             )
-            node_by_rank = np.argsort(grid.repr_rank, kind="stable")
-            targets = node_by_rank[min_rank[remote]]
+            targets = grid.node_by_rank[min_rank[remote]]
             run.unicast(round_index, senders, targets, KIND_SELECTED, bits=1)
 
     def step(self, round_index, acting, inbox, run):
@@ -191,16 +267,7 @@ class PrimalDualProgram:
             return
         if round_index < finalize:
             if round_index % 2 == 0:
-                # Decide round (P2): the order-exact inbox sum is the load.
-                load = (
-                    inbox.ordered_float_sum((KIND_X,), self.x)
-                    if inbox is not None
-                    else self.x.copy()
-                )
-                joining = acting & ~self.in_s & (load >= self.join_threshold)
-                self.in_s |= joining
-                self.dominated |= joining
-                run.broadcast(round_index, joining, KIND_JOINED_S, bits=1)
+                self._decide(round_index, acting, inbox, run)
             else:
                 self._absorb_and_increase(acting, inbox)
                 run.broadcast(

@@ -8,7 +8,11 @@ Four layers are covered:
   accumulation bit for bit;
 * the **two inbox forms** of :mod:`repro.congest.kernels.faults` -- a
   fault-free broadcast delivered whole, and the same broadcast expanded
-  into entry columns -- answer every operator identically;
+  into entry columns -- answer every operator identically, the ordered sum
+  over any row mask included;
+* the **primal-dual load bounds**: a decide-round candidate whose load is
+  not summed could not have joined, and only fault-free whole broadcasts
+  let any candidate go unsummed;
 * the **streaming generators** (:mod:`repro.graphs.large_scale`) round-trip
   ``networkx.Graph`` <-> ``CSRGraph`` losslessly, keep their neighbor lists
   sorted, and certify arboricity bounds consistent with the dict-based
@@ -19,10 +23,15 @@ Four layers are covered:
 
 from __future__ import annotations
 
+import math
 import struct
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,9 +43,19 @@ from repro.congest.kernels.csr import (
     segment_min_argrank,
     segment_sum,
 )
-from repro.congest.kernels.faults import FaultedRun, Inbox, NeighborhoodInbox, NullHooks
-from repro.congest.kernels.grid import FOLD_SLOTS, grid_from_csr
+from repro.congest.kernels.faults import (
+    KIND_X,
+    FaultedRun,
+    Inbox,
+    NeighborhoodInbox,
+    NullHooks,
+    run_program,
+)
+from repro.congest.kernels.grid import KernelGrid, grid_from_csr, grid_from_network
+from repro.congest.kernels.primal_dual import PrimalDualProgram, _growth_factor
 from repro.congest.metrics import RoundMetrics, RunMetrics
+from repro.congest.network import Network
+from repro.core.weighted import WeightedMDSAlgorithm
 from repro.graphs import large_scale
 from repro.graphs.arboricity import degeneracy
 from repro.graphs.generators import random_bounded_arboricity_graph
@@ -193,16 +212,16 @@ def _broadcast_and_collect(grid, hooks, senders, acting, kind, values, fvalues):
 
 
 def _hub_csr(n, alpha, seed, hubs):
-    """A random graph plus ``hubs`` nodes of degree > ``FOLD_SLOTS``.
+    """A random graph plus ``hubs`` nodes of degree 33 to 40.
 
-    The hubs run the fold's scatter tail.  Unpicked filler nodes stay at
-    degree 0, and a random relabelling puts the hubs anywhere in node order.
+    Unpicked filler nodes stay at degree 0, and a random relabelling puts
+    the hubs anywhere in node order.
     """
     graph = random_bounded_arboricity_graph(n, alpha=alpha, seed=seed)
     rng = np.random.default_rng(seed)
     for _ in range(hubs):
         hub = graph.number_of_nodes()
-        size = FOLD_SLOTS + int(rng.integers(1, 9))
+        size = 32 + int(rng.integers(1, 9))
         graph.add_nodes_from(range(hub, hub + size + 3))
         others = [node for node in graph.nodes() if node != hub]
         graph.add_edges_from((hub, int(u)) for u in rng.choice(others, size, replace=False))
@@ -221,20 +240,25 @@ def _star_csr(leaves):
 payload_floats = st.one_of(edge_floats, st.floats(width=64))
 
 
-def _expected_sums(csr, senders, acting, fvalues, base):
-    """The decide-round load by brute force: each acting row's left fold
-    over the neighbors that sent, in row order; idle rows keep ``base``."""
+def _expected_sums(csr, senders, acting, fvalues, base, rows=None):
+    """The decide-round load by brute force: each summed row's left fold
+    over the neighbors that sent, in row order; rows that are idle or not
+    in ``rows`` keep ``base``."""
     expected = []
     for node in range(csr.n):
         row = csr.indices[csr.indptr[node]:csr.indptr[node + 1]]
         terms = [0.0 if fvalues is None else fvalues[u] for u in row if senders[u]]
-        expected.append(_left_fold(base[node], terms) if acting[node] else base[node])
+        summed = acting[node] and (rows is None or rows[node])
+        expected.append(_left_fold(base[node], terms) if summed else base[node])
     return expected
 
 
-def _assert_inbox_forms_agree(csr, senders, acting, kind, values, fvalues, base):
+def _assert_inbox_forms_agree(
+    csr, senders, acting, kind, values, fvalues, base, rows=None
+):
     """Both inbox forms of one broadcast answer every operator identically,
-    and the ordered sum and receipt counts match brute force."""
+    and the ordered sum over ``rows`` and the receipt counts match brute
+    force."""
     n = csr.n
     grid = grid_from_csr(csr)
     whole_run, whole = _broadcast_and_collect(
@@ -251,13 +275,13 @@ def _assert_inbox_forms_agree(csr, senders, acting, kind, values, fvalues, base)
         empty = np.empty(0, dtype=np.int64)
         expanded = Inbox(n, empty, empty, empty, empty, np.empty(0))
     assert isinstance(expanded, Inbox)
-    expected_sum = _bits(_expected_sums(csr, senders, acting, fvalues, base))
+    expected_sum = _bits(_expected_sums(csr, senders, acting, fvalues, base, rows))
     for code in (0, 1, 2):
         assert whole.any_truthy(code).tolist() == expanded.any_truthy(code).tolist()
         counts = whole.count_truthy(code).tolist()
         assert counts == expanded.count_truthy(code).tolist()
-        summed = _bits(whole.ordered_float_sum((code,), base))
-        assert summed == _bits(expanded.ordered_float_sum((code,), base))
+        summed = _bits(whole.ordered_float_sum((code,), base, rows))
+        assert summed == _bits(expanded.ordered_float_sum((code,), base, rows))
         if code == kind:
             assert summed == expected_sum  # bit-exact, no tolerance
             assert counts == [
@@ -309,37 +333,52 @@ class TestInboxForms:
         )
         base = np.array(data.draw(floats), dtype=np.float64)
         kind = data.draw(st.integers(0, 2))
-        _assert_inbox_forms_agree(csr, senders, acting, kind, values, fvalues, base)
+        rows = {
+            "none": lambda: None,
+            "drawn": lambda: np.array(data.draw(masks), dtype=bool),
+            "sparse": lambda: rng.random(n) < 0.05,
+        }[data.draw(st.sampled_from(["none", "drawn", "sparse"]))]()
+        _assert_inbox_forms_agree(
+            csr, senders, acting, kind, values, fvalues, base, rows
+        )
 
     def test_non_senders_are_left_out_not_added_as_zero(self):
-        # -0.0 + 0.0 is +0.0: the silent leaves past and inside the fold's
-        # head slots must not touch the hub's -0.0.
-        csr = _star_csr(FOLD_SLOTS + 3)
+        # -0.0 + 0.0 is +0.0: the silent leaves must not touch the hub's
+        # -0.0, whichever rows are summed.
+        csr = _star_csr(40)
         n = csr.n
         senders = np.zeros(n, dtype=bool)
         senders[0] = True
         base = np.full(n, -0.0)
+        hub_only = np.arange(n) == 0
         for acting in (np.ones(n, dtype=bool), np.arange(n) % 2 == 0):
-            _assert_inbox_forms_agree(
-                csr, senders, acting, 1, np.ones(n, np.int64), np.full(n, -0.0), base
-            )
+            for rows in (None, hub_only, ~hub_only, np.arange(n) % 3 == 0):
+                _assert_inbox_forms_agree(
+                    csr, senders, acting, 1, np.ones(n, np.int64),
+                    np.full(n, -0.0), base, rows,
+                )
 
-    def test_head_slots_run_before_the_tail(self):
-        # Left to right the hub sees 1e308 + 1e308 = inf, then inf + -inf =
-        # NaN from its last (tail) neighbor; adding the tail first gives -inf.
-        leaves = FOLD_SLOTS + 2
-        csr = _star_csr(leaves)
+    def test_negative_zero_hub_keeps_its_sign(self):
+        # A hub whose base and senders are all -0.0 sums to -0.0; one +0.0
+        # sender flips it to +0.0.  Rows left out keep their base, -0.0.
+        csr = _star_csr(40)
         n = csr.n
-        fvalues = np.zeros(n)
-        fvalues[1] = fvalues[2] = 1e308
-        fvalues[leaves] = float("-inf")
-        base = np.zeros(n)
-        for senders in (np.ones(n, dtype=bool), np.arange(n) != 3):
-            _assert_inbox_forms_agree(
-                csr, senders, np.ones(n, dtype=bool), 2, np.ones(n, np.int64),
-                fvalues, base,
-            )
-        assert _bits([_left_fold(0.0, fvalues[1:])]) != _bits([_left_fold(0.0, fvalues[:0:-1])])
+        hub_only = np.arange(n) == 0
+        fvalues = np.full(n, -0.0)
+        for senders in (np.ones(n, dtype=bool), np.arange(n) != 7):
+            for rows in (None, hub_only, ~hub_only):
+                _assert_inbox_forms_agree(
+                    csr, senders, np.ones(n, dtype=bool), 2, np.ones(n, np.int64),
+                    fvalues, np.full(n, -0.0), rows,
+                )
+        fvalues[9] = 0.0
+        grid = grid_from_csr(csr)
+        _, whole = _broadcast_and_collect(
+            grid, NullHooks(), np.ones(n, dtype=bool), np.ones(n, dtype=bool), 2,
+            None, fvalues,
+        )
+        summed = whole.ordered_float_sum((2,), np.full(n, -0.0), hub_only)
+        assert _bits(summed[:2]) == _bits([0.0, -0.0])
 
     def test_sparse_truthy_receipts(self):
         csr = _hub_csr(30, 2, 7, 2)
@@ -353,60 +392,176 @@ class TestInboxForms:
         )
 
 
-class TestFoldLayout:
-    def test_layout_is_slot_major_head_then_row_major_tail(self):
-        csr = _hub_csr(40, 3, 11, 2)
-        fold = grid_from_csr(csr).fold
-        degrees = np.diff(csr.indptr)
-        assert (np.diff(degrees[fold.order]) <= 0).all()
-        assert fold.counts == [
-            int((degrees > slot).sum())
-            for slot in range(FOLD_SLOTS)
-            if (degrees > slot).any()
-        ]
-        rows = [
-            csr.indices[csr.indptr[v]:csr.indptr[v + 1]].tolist() for v in fold.order
-        ]
-        head = [row[slot] for slot in range(FOLD_SLOTS) for row in rows if len(row) > slot]
-        tail = [u for row in rows for u in row[FOLD_SLOTS:]]
-        assert fold.head == len(head)
-        assert fold.senders.tolist() == head + tail
-        assert fold.tail_rows.tolist() == [
-            position for position, row in enumerate(rows) for _ in row[FOLD_SLOTS:]
-        ]
+#: Small epsilons (long schedules of fine growth steps) and ones near 1.
+epsilons = st.one_of(
+    st.floats(0.01, 0.05), st.floats(0.9, 1.0, exclude_max=True)
+)
 
-    def test_empty_grid_has_an_empty_fold(self):
-        fold = grid_from_csr(large_scale.csr_from_networkx(nx.empty_graph(0))).fold
-        assert fold.counts == [] and fold.head == 0 and fold.senders.size == 0
 
-    def test_plain_run_builds_the_fold_once_and_no_edge_rows(self):
-        from repro.graphs.large_scale import random_integer_weights
+@contextmanager
+def _decide_rounds(check):
+    """Call ``check(program, candidates, due, inbox)`` in every decide round
+    of the primal-dual programs run inside the block (forked sharded
+    workers included)."""
+    original = PrimalDualProgram._due_rows
+
+    def spy(self, candidates, inbox):
+        due = original(self, candidates, inbox)
+        check(self, candidates, due, inbox)
+        return due
+
+    with mock.patch.object(PrimalDualProgram, "_due_rows", spy):
+        yield
+
+
+def _checked_run(csr, weights, epsilon, alpha, watched):
+    """One plain weighted run that asserts, in every decide round, that each
+    candidate left unsummed has its full exact load below its threshold.
+    Returns ``watched``'s full load in each round it is a candidate."""
+    degrees = np.diff(csr.indptr)
+    grid = KernelGrid(csr.indptr, csr.indices, weights, range(csr.n))
+    config = {"max_degree": int(degrees.max(initial=0)), "alpha": alpha}
+    watched_loads = []
+
+    def check(program, candidates, due, inbox):
+        loads = program.x if inbox is None else inbox.ordered_float_sum((KIND_X,), program.x)
+        skipped = candidates & ~due
+        assert (loads[skipped] < program.join_threshold[skipped]).all()
+        if candidates[watched]:
+            watched_loads.append(float(loads[watched]))
+
+    with _decide_rounds(check):
+        run_program(
+            PrimalDualProgram, grid, config, WeightedMDSAlgorithm(epsilon=epsilon),
+            budget=0, limit=10 ** 6, strict=False,
+        )
+    return watched_loads
+
+
+def _assert_skipped_rows_stay_below(n, alpha, seed, epsilon, data):
+    """The load-bound soundness property on one random graph.
+
+    Weights near ``2**52`` make one weight unit about one ulp of a load.  A
+    probe run gives the max-degree node a weight no load reaches and
+    records its loads; the checked run then sets that weight to within a
+    few units of ``(1+eps)`` times one of them, so its threshold lands
+    within a few ulps of that load.  The node is heavier than its
+    neighbors either way, so no ``tau`` and no earlier round changes.
+    """
+    csr = large_scale.csr_from_networkx(
+        random_bounded_arboricity_graph(n, alpha=alpha, seed=seed)
+    )
+    rng = np.random.default_rng(seed)
+    weights = 2 ** 52 - rng.integers(0, 2 ** 20, size=n)
+    degrees = np.diff(csr.indptr)
+    watched = int(np.argmax(degrees))
+    weights[watched] = 2 ** 62
+    loads = _checked_run(csr, weights, epsilon, alpha, watched)
+    # An isolated node's load is its own weight, and with no decide round
+    # there is nothing to aim at.
+    if degrees[watched] and loads:
+        load = Fraction(data.draw(st.sampled_from(loads)))
+        near = math.floor(load * Fraction(1.0 + epsilon)) + data.draw(st.integers(-3, 3))
+        assert near > 2 ** 52  # still heavier than every other node
+        weights[watched] = near
+        _checked_run(csr, weights, epsilon, alpha, watched)
+
+
+class TestDueRows:
+    @FAST
+    @given(
+        n=st.integers(1, 40), alpha=st.integers(1, 4),
+        seed=st.integers(0, 10 ** 6), epsilon=epsilons, data=st.data(),
+    )
+    def test_skipped_candidates_stay_below_their_threshold(
+        self, n, alpha, seed, epsilon, data
+    ):
+        _assert_skipped_rows_stay_below(n, alpha, seed, epsilon, data)
+
+    @pytest.mark.slow
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        n=st.integers(1, 300), alpha=st.integers(1, 6),
+        seed=st.integers(0, 10 ** 6), epsilon=epsilons, data=st.data(),
+    )
+    def test_skipped_candidates_stay_below_their_threshold_large(
+        self, n, alpha, seed, epsilon, data
+    ):
+        _assert_skipped_rows_stay_below(n, alpha, seed, epsilon, data)
+
+    @staticmethod
+    def _summed_rows(tmp_path, **spec):
+        """``(candidate rows, due rows)`` summed over every decide round of
+        one weighted run on a 2,000-node BA graph."""
+        from repro.graphs.large_scale import (
+            large_preferential_attachment,
+            random_integer_weights,
+        )
         from repro.run import RunSpec, Session
 
         csr = random_integer_weights(
-            large_scale.large_preferential_attachment(400, attachment=3, seed=2), seed=3
+            large_preferential_attachment(2_000, attachment=4, seed=5), seed=6
         )
-        session = Session()
-        spec = RunSpec(graph=csr, algorithm="weighted", engine="kernel", seed=0)
-        first = session.run(spec)
-        grid = grid_from_csr(csr)
-        fold = grid.fold
-        second = session.run(spec)
-        assert grid_from_csr(csr) is grid and grid.fold is fold
-        assert result_bytes(first) == result_bytes(second)
-        # The per-edge row column is what the fold replaces: a plain run
-        # must not build it (it is 8 bytes per directed edge of RSS).
-        assert grid._edge_src is None
+        log = tmp_path / "decide.log"
 
-    def test_crash_faulted_run_never_builds_the_fold(self):
-        from repro.run import RunSpec, Session
+        def check(program, candidates, due, inbox):
+            with open(log, "a") as out:
+                out.write(f"{int(candidates.sum())} {int(due.sum())}\n")
 
-        csr = large_scale.large_preferential_attachment(300, attachment=3, seed=4)
-        spec = RunSpec(
-            graph=csr, algorithm="weighted", engine="kernel", faults="crash15", seed=0
+        with _decide_rounds(check):
+            run = Session().run(RunSpec(graph=csr, algorithm="weighted", **spec))
+        assert run.engine_used == spec["engine"]
+        candidates, due = np.loadtxt(log, dtype=np.int64, ndmin=2).sum(axis=0)
+        assert candidates > 0
+        return csr, candidates, due
+
+    def test_plain_run_sums_few_candidate_rows(self, tmp_path):
+        csr, candidates, due = self._summed_rows(tmp_path, engine="kernel")
+        assert 0 < due < 0.1 * candidates
+        # Summing the rows' slices needs no per-edge row column.
+        assert grid_from_csr(csr)._edge_src is None
+
+    def test_faulted_run_sums_every_candidate_row(self, tmp_path):
+        _, candidates, due = self._summed_rows(
+            tmp_path, engine="kernel", faults="lossy10"
         )
-        assert Session().run(spec).engine_used == "kernel"
-        assert grid_from_csr(csr)._fold is None
+        assert due == candidates
+
+    def test_sharded_run_sums_every_candidate_row(self, tmp_path):
+        _, candidates, due = self._summed_rows(tmp_path, engine="sharded", shards=2)
+        assert due == candidates
+
+    @FAST
+    @given(
+        epsilon=st.floats(1e-9, 1.0, exclude_max=True),
+        closed_size=st.integers(1, 10 ** 7),
+    )
+    def test_growth_factor_is_the_least_float_covering_the_bound(
+        self, epsilon, closed_size
+    ):
+        one_plus_eps = 1.0 + epsilon
+        rho = _growth_factor(one_plus_eps, closed_size)
+        u = Fraction(1, 2 ** 53)
+        gamma = closed_size * u / (1 - closed_size * u)
+        needed = (
+            Fraction(one_plus_eps) * (1 + u) * (1 + gamma) / ((1 - gamma) * (1 - u))
+        )
+        assert Fraction(rho) >= needed > Fraction(math.nextafter(rho, 0.0))
+
+
+class TestRankOrder:
+    @FAST
+    @given(**graph_params)
+    def test_node_by_rank_is_sorted_repr_order_and_cached(self, n, alpha, seed):
+        graph = random_bounded_arboricity_graph(n, alpha=alpha, seed=seed)
+        labels = {node: f"v{node * 7919 % 13}-{node}" for node in graph}
+        grid = grid_from_network(Network(nx.relabel_nodes(graph, labels)))
+        order = sorted(range(n), key=lambda index: repr(grid.node_order[index]))
+        assert grid.node_by_rank.tolist() == order
+        assert grid.repr_rank[grid.node_by_rank].tolist() == list(range(n))
+        assert grid.node_by_rank is grid.node_by_rank
 
 
 class TestCSRRoundTrip:
