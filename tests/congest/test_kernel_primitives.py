@@ -59,7 +59,6 @@ from repro.core.weighted import WeightedMDSAlgorithm
 from repro.graphs import large_scale
 from repro.graphs.arboricity import degeneracy
 from repro.graphs.generators import random_bounded_arboricity_graph
-from repro.run.result import result_bytes
 
 FAST = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -532,6 +531,27 @@ class TestDueRows:
     def test_sharded_run_sums_every_candidate_row(self, tmp_path):
         _, candidates, due = self._summed_rows(tmp_path, engine="sharded", shards=2)
         assert due == candidates
+
+    @FAST
+    @given(epsilon=epsilons, k=st.integers(1, 40), seed=st.integers(0, 10 ** 6))
+    def test_grown_bound_covers_every_growth_of_the_load(self, epsilon, k, seed):
+        """The certificate's core step, on the ``rho`` a program uses: over
+        rounds in which every ``x`` grows by ``c = 1+eps`` (rounded), the
+        bound ``fl(rho B)`` never falls below the left-to-right load.  With
+        random magnitudes the load outgrows ``fl(c B)`` within six rounds in
+        about two thirds of the cases, which ``rho = c`` would miss."""
+        rng = np.random.default_rng(seed)
+        csr = _star_csr(k - 1) if k > 1 else large_scale.csr_from_networkx(nx.empty_graph(1))
+        program = PrimalDualProgram(
+            grid_from_csr(csr), {"max_degree": k - 1, "alpha": 1},
+            WeightedMDSAlgorithm(epsilon=epsilon), None, k,
+        )
+        x = 10.0 ** rng.uniform(-3, 3, size=k)
+        bound = _left_fold(x[0], x[1:])
+        for _ in range(6):
+            x = x * (1.0 + epsilon)
+            bound = float(np.float64(bound) * program.rho)
+            assert bound >= _left_fold(x[0], x[1:])
 
     @FAST
     @given(
