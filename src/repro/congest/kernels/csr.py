@@ -121,6 +121,22 @@ def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
+def row_positions(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """CSR position of ``values[i]`` in row ``rows[i]`` (rows ascending, every
+    value present): one lower-bound binary search over all rows at once,
+    with no per-edge key column."""
+    lo = indptr[rows]
+    count = indptr[rows + 1] - lo
+    while count.any():
+        half = count >> 1
+        right = indices[lo + half] < values
+        lo = np.where(right, lo + half + 1, lo)
+        count = np.where(right, count - half - 1, half)
+    return lo
+
+
 def ordered_row_sum(
     rows: np.ndarray, values: np.ndarray, base: np.ndarray
 ) -> np.ndarray:

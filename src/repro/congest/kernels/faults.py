@@ -13,7 +13,7 @@ lives in a columnar mailbox instead of per-node dicts:
   strict-budget violation with the same ``(sender, receiver, bits)`` naming
   as the per-node engines.  Three seams keep the delivery side replaceable:
   ``_violation`` raises a budget violation, ``_post_broadcast`` takes a
-  fault-free broadcast batch and ``_push`` takes entry columns.  The sharded
+  fault-free broadcast batch and ``_push`` takes an edge batch.  The sharded
   worker (:class:`~repro.congest.sharded.halo.ShardedRun`) overrides them to
   write shared-memory lanes, so both tiers run the same emission and budget
   rule.
@@ -31,21 +31,26 @@ lives in a columnar mailbox instead of per-node dicts:
 
 Message payloads are encoded as a per-entry ``kind`` code plus one integer
 and one float column; every payload any kerneled algorithm sends fits this
-shape (``{"weight": w, "closed_degree": d}`` uses both columns).  Inbox
-semantics replicate the reference engine's dict assembly: per ``(receiver,
-sender)`` pair the *first* arrival fixes the position and the *last* fixes
-the value, and per-receiver entries are ordered by arrival position -- the
-order the primal-dual float sums observe.
+shape (``{"weight": w, "closed_degree": d}`` uses both columns).  A send
+under fault hooks queues one edge batch: the kept directed-edge positions
+and their senders, in ascending sender order, plus per-node payload
+snapshots.  Inbox semantics replicate the reference engine's dict assembly:
+per ``(receiver, sender)`` pair the *first* arrival fixes the position and
+the *last* fixes the value, and per receiver the entries are in arrival
+order -- by batch, then by ascending sender -- the order the primal-dual
+float sums observe.  Batches queue in arrival order, so concatenating them
+gives that order with no sort.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from itertools import accumulate
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.congest.errors import BandwidthViolation, NonConvergenceError
-from repro.congest.kernels.csr import ordered_row_sum, slice_positions
+from repro.congest.kernels.csr import ordered_row_sum, row_positions, slice_positions
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.obs.trace import stamp_round
 
@@ -96,8 +101,6 @@ class NullHooks:
 
     stop_at_limit = False
     report_pending_nodes = False
-    #: Dtype the driver sorts a batch's delays in (never used without delays).
-    delay_sort_dtype = np.int64
     faulty_nodes: Tuple = ()
     crashed_now = None
     permanently_crashed = None
@@ -116,12 +119,13 @@ class NullHooks:
 
 
 class Inbox:
-    """One round's delivered messages, columnar and sorted by receiver.
+    """One round's delivered messages, columnar, per receiver in arrival order.
 
     ``recv``/``send`` are node indices, ``kind`` the payload code, ``ival``/
-    ``fval`` the payload columns.  Entries are grouped by receiver and, per
-    receiver, ordered by original arrival position -- the reference inbox's
-    insertion order.
+    ``fval`` the payload columns.  One receiver's entries keep the reference
+    inbox's insertion order (each pair at its first arrival), but the
+    receivers' entries may interleave: readers reduce per receiver
+    (``bincount``, ``ufunc.at``) and never rely on grouping.
     """
 
     __slots__ = ("n", "recv", "send", "kind", "ival", "fval")
@@ -152,10 +156,14 @@ class Inbox:
         left out.  ``rows`` (a node mask, ``None``: all) selects the rows
         that are summed; every other row keeps ``base``.
         """
-        entries = np.isin(self.kind, kind_codes)
+        if len(kind_codes) == 1:
+            entries = self.kind == kind_codes[0]
+        else:
+            entries = np.isin(self.kind, kind_codes)
         if rows is not None:
             entries &= rows[self.recv]
-        return ordered_row_sum(self.recv[entries], self.fval[entries], base)
+        picked = np.flatnonzero(entries)
+        return ordered_row_sum(self.recv[picked], self.fval[picked], base)
 
     def received_edges(self, kind_code: int, run) -> np.ndarray:
         """Per directed edge ``v -> u`` of ``run.grid``: did ``v`` receive a
@@ -201,6 +209,61 @@ class _Broadcast(NamedTuple):
             np.ones(size, np.int64) if self.ival is None else self.ival[send],
             np.zeros(size, np.float64) if self.fval is None else self.fval[send],
         )
+
+    def edge_batch(self, run) -> "_EdgeBatch":
+        """The batch as edges, in :meth:`columns`' receiver-major order: per
+        receiver that is still ascending sender order."""
+        recv, send = self.columns(run.grid)[:2]
+        return _EdgeBatch(run.edge_positions(send, recv), send, self.kind, self.ival, self.fval)
+
+
+class _EdgeBatch(NamedTuple):
+    """Kept deliveries in the mailbox: CSR positions of the edges
+    ``sender -> receiver``, each at most once and in ascending sender order
+    per receiver, with their senders and the payload.
+
+    ``send`` spares plain runs a per-edge row column; ``kind`` is one code
+    or one per edge; ``ival``/``fval`` are per-node snapshots read at each
+    edge's sender, as in :class:`_Broadcast`.
+    """
+
+    edges: np.ndarray
+    send: np.ndarray
+    kind: Union[int, np.ndarray]
+    ival: Optional[np.ndarray]
+    fval: Optional[np.ndarray]
+
+    def take(self, picked):
+        """The deliveries at ``picked``, in that order."""
+        kind = self.kind if np.ndim(self.kind) == 0 else self.kind[picked]
+        return _EdgeBatch(self.edges[picked], self.send[picked], kind, self.ival, self.fval)
+
+
+def _snapshot(column):
+    """A copy of a payload column the program will mutate before delivery."""
+    return None if column is None else column.copy()
+
+
+def _payload_columns(spans, source):
+    """``(kind, ival, fval)`` of the arrivals at ``source``.
+
+    ``spans`` are the round's ``(batch, lo, hi)`` slices of its arrivals.  A
+    column that is one constant in every batch is filled without a gather.
+    """
+    columns = []
+    for name, fill in (("kind", None), ("ival", 1), ("fval", 0.0)):
+        parts = [getattr(batch, name) for batch, _, _ in spans]
+        if name != "kind":  # per-node snapshots, read at the senders
+            parts = [
+                fill if part is None else part[batch.send]
+                for part, (batch, _, _) in zip(parts, spans)
+            ]
+        if all(np.ndim(part) == 0 for part in parts) and len(set(parts)) == 1:
+            columns.append(np.full(source.size, parts[0]))
+        else:
+            sized = [np.broadcast_to(part, (hi - lo,)) for part, (_, lo, hi) in zip(parts, spans)]
+            columns.append(np.concatenate(sized)[source])
+    return columns
 
 
 class NeighborhoodInbox:
@@ -319,16 +382,15 @@ class FaultedRun:
         self._mail: dict = {}
         self._fates_round = -1
         self._fates: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
-        # Stable transpose permutation: edge positions ordered by receiver,
-        # per receiver by ascending sender -- exactly the order the inbox
-        # sort would produce, computed once instead of every round.
-        self._recv_order: Optional[np.ndarray] = None
+        # Per directed edge: the first and the last arrival's position in a
+        # round's concatenated batches (scratch, valid only where written).
+        self._arrivals: Optional[np.ndarray] = None
 
     # -- edge helpers ------------------------------------------------------
 
     def edge_positions(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """CSR edge positions of the directed edges ``src -> dst``."""
-        return np.searchsorted(self.grid.edge_keys, src * self.grid.n + dst)
+        return row_positions(self.grid.indptr, self.grid.indices, src, dst)
 
     def _edge_fates(self, round_index: int):
         if self._fates_round != round_index:
@@ -338,12 +400,9 @@ class FaultedRun:
 
     # -- mailbox -----------------------------------------------------------
 
-    def _push(self, arrival, recv, send, kind, ival, fval, by_recv=False):
-        """Queue entry columns for delivery in round ``arrival``."""
-        if recv.size:
-            self._mail.setdefault(arrival, []).append(
-                (recv, send, kind, ival, fval, by_recv)
-            )
+    def _push(self, arrival, batch: _EdgeBatch):
+        """Queue an edge batch for delivery in round ``arrival``."""
+        self._mail.setdefault(arrival, []).append(batch)
 
     def _post_broadcast(self, round_index, sent, kind, values, fvalues):
         """Queue a fault-free broadcast unexpanded for the next round.
@@ -352,82 +411,51 @@ class FaultedRun:
         mutates before delivery, so the batch keeps copies.
         """
         self._mail.setdefault(round_index + 1, []).append(
-            _Broadcast(
-                sent,
-                kind,
-                None if values is None else values.copy(),
-                None if fvalues is None else fvalues.copy(),
-            )
+            _Broadcast(sent, kind, _snapshot(values), _snapshot(fvalues))
         )
 
     def _collect(self, round_index, crashed_now, acting):
-        """Assemble this round's inbox; returns ``(inbox | None, dropped)``."""
+        """Assemble this round's inbox; returns ``(inbox | None, dropped)``.
+
+        The batches' concatenation is already the arrival order, with no
+        sort.  ``dropped`` counts every arrival into a crashed receiver,
+        repeated pairs included, as the reference does.
+        """
         batches = self._mail.pop(round_index, None)
         if not batches:
             return None, 0
-        whole = len(batches) == 1 and isinstance(batches[0], _Broadcast)
-        if whole and (crashed_now is None or not crashed_now.any()):
+        crashes = crashed_now is not None and bool(crashed_now.any())
+        if len(batches) == 1 and isinstance(batches[0], _Broadcast) and not crashes:
             return NeighborhoodInbox(self.grid, batches[0], acting), 0
-        # Crashes, latency or a mixed round: expand to (receiver-sorted)
-        # entry columns.
-        batches = [
-            batch.columns(self.grid) + (True,) if isinstance(batch, _Broadcast) else batch
-            for batch in batches
-        ]
-        multi = len(batches) > 1
-        if multi:
-            recv = np.concatenate([batch[0] for batch in batches])
-            send = np.concatenate([batch[1] for batch in batches])
-            kind = np.concatenate([batch[2] for batch in batches])
-            ival = np.concatenate([batch[3] for batch in batches])
-            fval = np.concatenate([batch[4] for batch in batches])
-            by_recv = False
-        else:
-            recv, send, kind, ival, fval, by_recv = batches[0]
-        dropped = 0
-        if crashed_now is not None:
-            hit = crashed_now[recv]
-            crashed_entries = int(hit.sum())
-            if crashed_entries:
-                dropped = crashed_entries
-                keep = ~hit
-                recv, send = recv[keep], send[keep]
-                kind, ival, fval = kind[keep], ival[keep], fval[keep]
-        if multi and recv.size:
-            # Reference inbox dict semantics per (receiver, sender): the
-            # first arrival fixes the entry's position, the last fixes its
-            # value; a single batch has unique pairs, so only multi-batch
-            # rounds (latency) pay for the dedupe.  Concatenation index is
-            # arrival position and strictly increasing, so one stable sort
-            # on the fused (receiver, sender) key is exactly the
-            # (recv, send, position) lexsort.
-            n_nodes = np.int64(self.grid.n)
-            key = recv.astype(np.int64) * n_nodes + send
-            order = np.argsort(key, kind="stable")
-            key_sorted = key[order]
-            new_pair = np.r_[True, key_sorted[1:] != key_sorted[:-1]]
-            starts = np.flatnonzero(new_pair)
-            lasts = order[np.r_[starts[1:], key_sorted.size] - 1]
-            first_pos = order[starts]
-            group_key = key_sorted[starts]
-            group_recv = group_key // n_nodes
-            final = np.lexsort((first_pos, group_recv))
-            recv = group_recv[final]
-            send = (group_key - group_recv * n_nodes)[final]
-            kind, ival, fval = kind[lasts][final], ival[lasts][final], fval[lasts][final]
-        elif recv.size and not by_recv:
-            order = np.argsort(recv, kind="stable")
-            recv, send = recv[order], send[order]
-            kind, ival, fval = kind[order], ival[order], fval[order]
-        if recv.size:
-            to_acting = acting[recv]
-            if not to_acting.all():
-                recv, send = recv[to_acting], send[to_acting]
-                kind = kind[to_acting]
-                ival, fval = ival[to_acting], fval[to_acting]
-        if not recv.size:
+        batches = [b.edge_batch(self) if isinstance(b, _Broadcast) else b for b in batches]
+        grid = self.grid
+        bounds = [0, *accumulate(batch.edges.size for batch in batches)]
+        spans = list(zip(batches, bounds, bounds[1:]))
+        edges = np.concatenate([batch.edges for batch in batches])
+        recv = grid.indices[edges]
+        dropped = int(np.count_nonzero(crashed_now[recv])) if crashes else 0
+        listed = acting[recv]
+        if len(spans) > 1:
+            # One (receiver, sender) pair is one edge, listed at most once
+            # per batch: scattering each batch's positions in arrival order
+            # leaves every edge its last arrival (the value), in reverse
+            # order its first (the position).
+            if self._arrivals is None:
+                self._arrivals = np.empty((2, len(grid.indices)), dtype=np.intp)
+            first, last = self._arrivals
+            positions = np.arange(edges.size)
+            for batch, lo, hi in spans:
+                last[batch.edges] = positions[lo:hi]
+            for batch, lo, hi in reversed(spans):
+                first[batch.edges] = positions[lo:hi]
+            listed &= first[edges] == positions
+        picked = np.flatnonzero(listed)
+        if not picked.size:
             return None, dropped
-        return Inbox(self.grid.n, recv, send, kind, ival, fval), dropped
+        send = np.concatenate([batch.send for batch in batches])[picked]
+        source = picked if len(spans) == 1 else last[edges[picked]]
+        kind, ival, fval = _payload_columns(spans, source)
+        return Inbox(grid.n, recv[picked], send, kind, ival, fval), dropped
 
     # -- emission ----------------------------------------------------------
 
@@ -483,46 +511,25 @@ class FaultedRun:
         if largest > rm.max_message_bits:
             rm.max_message_bits = largest
 
-    def _deliver(self, round_index, kept_edges, recv, send, kind, ival, fval,
-                 by_recv=False):
-        """Bucket kept directed edges by arrival round and push batches."""
-        rm = self.round_metrics
-        keep, delays = self._fates
-        del keep
+    def _deliver(self, round_index, batch: _EdgeBatch):
+        """Queue a batch of kept edges by arrival round.
+
+        One ``flatnonzero`` pass per present delay splits the batch, and
+        every part keeps its ascending sender order.
+        """
+        _, delays = self._fates
         if delays is None:
-            self._push(round_index + 1, recv, send, kind, ival, fval, by_recv)
+            self._push(round_index + 1, batch)
             return
-        kept_delays = delays[kept_edges]
-        delayed = int((kept_delays > 0).sum())
-        rm.delayed_messages += delayed
-        if not delayed:
-            self._push(round_index + 1, recv, send, kind, ival, fval, by_recv)
+        kept_delays = delays[batch.edges]
+        counts = np.bincount(kept_delays)
+        self.round_metrics.delayed_messages += int(kept_delays.size - counts[0])
+        present = np.flatnonzero(counts)
+        if present.size == 1:
+            self._push(round_index + 1 + int(present[0]), batch)
             return
-        # One stable sort groups the batch by delay; each group is then a
-        # contiguous slice in the original order, so a receiver-sorted batch
-        # stays receiver-sorted within every group.  Keys cast to the
-        # session's ``delay_sort_dtype`` (``uint8`` when every delay fits,
-        # where NumPy's stable sort is a radix sort) give the same order.
-        order = np.argsort(
-            kept_delays.astype(self.hooks.delay_sort_dtype, copy=False),
-            kind="stable",
-        )
-        recv, send = recv[order], send[order]
-        kind, ival, fval = kind[order], ival[order], fval[order]
-        grouped = kept_delays[order]
-        present = np.flatnonzero(np.bincount(grouped))
-        bounds = np.searchsorted(grouped, present, side="left")
-        ends = np.r_[bounds[1:], grouped.size]
-        for delay, lo, hi in zip(present.tolist(), bounds.tolist(), ends.tolist()):
-            self._push(
-                round_index + 1 + delay,
-                recv[lo:hi],
-                send[lo:hi],
-                kind[lo:hi],
-                ival[lo:hi],
-                fval[lo:hi],
-                by_recv,
-            )
+        for delay in present.tolist():
+            self._push(round_index + 1 + delay, batch.take(np.flatnonzero(kept_delays == delay)))
 
     def broadcast(self, round_index, senders, kind, *, bits, values=None, fvalues=None):
         """Broadcast one payload kind from every sender in ``senders``.
@@ -562,36 +569,20 @@ class FaultedRun:
             self._post_broadcast(round_index, effective, kind, values, fvalues)
             return
         mask = np.repeat(effective, degrees)
-        emitted = int(mask.sum())
+        emitted = int(np.count_nonzero(mask))
         if keep is not None:
             mask &= keep
-        if self._recv_order is None:
-            self._recv_order = np.argsort(grid.indices, kind="stable")
-        # Filtering the transpose permutation yields the kept edges already
-        # in inbox order (by receiver, per receiver by ascending sender), so
-        # the collect step never has to sort a broadcast batch.
-        kept = self._recv_order[mask[self._recv_order]]
-        self.round_metrics.dropped_messages += int(emitted - kept.size)
+        kept = np.flatnonzero(mask)
+        self.round_metrics.dropped_messages += emitted - kept.size
         if not kept.size:
             return
-        src = grid.edge_src[kept]
+        send = grid.edge_src[kept]
         if scalar_bits:
             self._account_kept(int(kept.size), bits)
         else:
-            self._account_per_sender(np.bincount(src, minlength=grid.n), bits)
-        size = kept.size
-        ival = np.ones(size, np.int64) if values is None else values[src]
-        fval = np.zeros(size, np.float64) if fvalues is None else fvalues[src]
-        self._deliver(
-            round_index,
-            kept,
-            grid.indices[kept],
-            src,
-            np.full(size, kind, np.int64),
-            ival,
-            fval,
-            by_recv=True,
-        )
+            self._account_per_sender(np.bincount(send, minlength=grid.n), bits)
+        batch = _EdgeBatch(kept, send, kind, _snapshot(values), _snapshot(fvalues))
+        self._deliver(round_index, batch)
 
     def unicast(self, round_index, senders_idx, targets_idx, kind, *, bits):
         """One single-target flag message per sender (``senders_idx`` ascending)."""
@@ -602,27 +593,16 @@ class FaultedRun:
             self._violation(
                 senders_idx[0], grid.node_order[int(targets_idx[0])], bits, round_index
             )
-        keep, delays = self._edge_fates(round_index)
-        kept_edges, src, dst = None, senders_idx, targets_idx
-        if keep is not None or delays is not None:
-            kept_edges = self.edge_positions(senders_idx, targets_idx)
-            if keep is not None:
-                mask = keep[kept_edges]
-                kept_edges, src, dst = kept_edges[mask], src[mask], dst[mask]
-        self.round_metrics.dropped_messages += int(senders_idx.size - src.size)
-        if not src.size:
+        keep, _ = self._edge_fates(round_index)
+        edges = self.edge_positions(senders_idx, targets_idx)
+        batch = _EdgeBatch(edges, senders_idx, kind, None, None)
+        if keep is not None:
+            batch = batch.take(np.flatnonzero(keep[batch.edges]))
+        self.round_metrics.dropped_messages += int(senders_idx.size - batch.edges.size)
+        if not batch.edges.size:
             return
-        self._account_kept(int(src.size), bits)
-        size = src.size
-        self._deliver(
-            round_index,
-            kept_edges,
-            dst,
-            src,
-            np.full(size, kind, np.int64),
-            np.ones(size, np.int64),
-            np.zeros(size, np.float64),
-        )
+        self._account_kept(int(batch.edges.size), bits)
+        self._deliver(round_index, batch)
 
     def unicast_neighborhood(
         self,
@@ -663,7 +643,7 @@ class FaultedRun:
         if keep is None:
             kept, kept_kind, kept_bits = edges, kind_all, bits_all
         else:
-            mask = keep[edges]
+            mask = np.flatnonzero(keep[edges])
             kept, kept_kind, kept_bits = edges[mask], kind_all[mask], bits_all[mask]
         rm = self.round_metrics
         rm.dropped_messages += int(edges.size - kept.size)
@@ -674,16 +654,8 @@ class FaultedRun:
         largest = int(kept_bits.max())
         if largest > rm.max_message_bits:
             rm.max_message_bits = largest
-        src = grid.edge_src[kept]
-        self._deliver(
-            round_index,
-            kept,
-            grid.indices[kept],
-            src,
-            kept_kind,
-            np.ones(kept.size, np.int64),
-            fvalues[src],
-        )
+        batch = _EdgeBatch(kept, grid.edge_src[kept], kept_kind, None, fvalues.copy())
+        self._deliver(round_index, batch)
 
     # -- the round loop ----------------------------------------------------
 

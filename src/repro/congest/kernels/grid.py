@@ -68,7 +68,6 @@ class KernelGrid:
         "_repr_rank",
         "_node_by_rank",
         "_edge_src",
-        "_edge_keys",
     )
 
     def __init__(
@@ -90,7 +89,6 @@ class KernelGrid:
         self._repr_rank: Optional[np.ndarray] = None
         self._node_by_rank: Optional[np.ndarray] = None
         self._edge_src: Optional[np.ndarray] = None
-        self._edge_keys: Optional[np.ndarray] = None
 
     # -- tie-break machinery (lazy; only tie-breaking code paths pay) ------
 
@@ -135,19 +133,6 @@ class KernelGrid:
         if self._edge_src is None:
             self._edge_src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         return self._edge_src
-
-    @property
-    def edge_keys(self) -> np.ndarray:
-        """``src * n + dst`` of every directed edge, strictly increasing.
-
-        Sorted rows make the keys ascending over the CSR edge order, so the
-        position of ``src -> dst`` is a single ``searchsorted``.  (A
-        shard-local grid's rows follow *global* order instead; the sharded
-        runtime keeps its own permuted index.)
-        """
-        if self._edge_keys is None:
-            self._edge_keys = self.edge_src * self.n + self.indices
-        return self._edge_keys
 
     # -- error-path helpers ------------------------------------------------
 

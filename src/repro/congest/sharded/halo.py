@@ -15,9 +15,9 @@ round's inbox out of this shard's own emissions plus the peers' lanes.
 Byte-identity discipline
 ------------------------
 
-* **Ordering.**  ``FaultedRun`` hands every program an inbox grouped by
-  receiver and, per receiver, ordered by ascending global sender.  Local
-  rows keep the global-ascending neighbor order (see
+* **Ordering.**  ``FaultedRun`` hands every program an inbox in arrival
+  order per receiver: in a fault-free round, ascending global sender (how
+  receivers interleave is free).  Local rows keep the global-ascending neighbor order (see
   :mod:`~repro.congest.sharded.partition`), so once the halo senders are
   filled in from the lanes, ``_Broadcast.columns`` over the local grid
   yields broadcast and neighborhood entries in exactly that order; unicast
@@ -147,15 +147,16 @@ class ShardedRun(FaultedRun):
         self._publish(parity, ETYPE_BROADCAST, kind)
         self._fill_node_lanes(parity, sent, values, fvalues)
 
-    def _push(self, arrival, recv, send, kind, ival, fval, by_recv=False):
+    def _push(self, arrival, batch):
         """A unicast batch: keep the entries into own nodes, flag the rest.
 
-        Unicasts carry a constant flag, so ``kind[0]`` is the batch's kind
-        and the payload columns hold nothing to ship.
+        Unicasts carry a constant flag, so the batch's one ``kind`` is all
+        there is to ship besides the local edges.
         """
         parity = arrival % 2
+        send, recv = batch.send, self.grid.indices[batch.edges]
         own_target = recv < self.spec.own_count
-        kind = int(kind[0])
+        kind = int(batch.kind)
         pairs = (send[own_target], recv[own_target])
         self._own_out[parity] = (ETYPE_UNICAST, kind, 0, None, pairs)
         self._publish(parity, ETYPE_UNICAST, kind)

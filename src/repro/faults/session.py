@@ -83,8 +83,8 @@ class FaultSession:
     def for_csr(cls, plan: FaultPlan, csr_graph) -> "FaultSession":
         """Compile ``plan`` directly against a CSR graph for the kernel tier.
 
-        CSR node ids *are* their indices, so the identity order stands in
-        for the layout's node order, and a columnar plan
+        CSR node ids *are* their indices, so ``range(n)`` and an O(1)
+        identity index stand in for the layout's, and a columnar plan
         (:meth:`FaultPlan.from_columns`, what materialising on a CSR graph
         builds) compiles from its arrays without creating a Python object
         per event.  Edge positions come from a binary search over the
@@ -101,7 +101,7 @@ class FaultSession:
             plan,
             None,
             range(n),
-            {i: i for i in range(n)},
+            _IdentityIndex(n),
             csr_graph.indptr,
             csr_graph.indices,
             None,
@@ -114,7 +114,7 @@ class FaultSession:
         plan: FaultPlan,
         network: Optional[Network],
         node_order: Sequence[Hashable],
-        index_of: Dict[Hashable, int],
+        index_of: Any,
         indptr,
         indices,
         edge_pos: Optional[Dict[Tuple[int, int], int]],
@@ -147,14 +147,16 @@ class FaultSession:
         self._apply_link_overrides(plan, drop_p, lat_low, lat_high)
         self._drop_p = drop_p
         self._lat_low = lat_low
-        self._lat_span = lat_high - lat_low + 1
+        # Float spans: the products are the same, without a cast per round.
+        self._lat_span = (lat_high - lat_low + 1).astype(np.float64)
         self._has_drops = bool((drop_p > 0.0).any()) if edge_count else False
         self._has_latency = bool((lat_high > 0).any()) if edge_count else False
-        # The kernel driver stable-sorts each batch's delays; below 256 they
-        # sort as uint8 (a radix sort).  Latency bounds are unbounded above.
-        self.delay_sort_dtype = (
+        # :meth:`edge_fates` returns delays as uint8 while every delay fits
+        # (latency bounds are unbounded above).
+        self.delay_dtype = (
             np.uint8 if edge_count == 0 or int(lat_high.max()) < 256 else np.int64
         )
+        self._lat_low_delays = lat_low.astype(self.delay_dtype)
 
         # Link aliveness (churn) over directed edges, plus the undirected
         # live-edge counter reported in the per-round metrics.
@@ -506,13 +508,12 @@ class FaultSession:
         is ``True`` iff a message sent over edge ``e`` this round survives
         (link alive and the omission draw passes), and ``delays`` is either
         ``None`` (no latency anywhere in the plan) or the per-edge extra
-        latency in rounds.  The arrays are views/derivations of the same
-        seeded per-round uniforms :meth:`route` and :meth:`broadcast` read,
-        so a driver that applies them in CSR edge order reproduces the
-        reference engine's decisions bit for bit.  Callers must not mutate
-        the returned arrays.
+        latency in rounds, in :attr:`delay_dtype`.  The arrays are
+        views/derivations of the same seeded per-round uniforms
+        :meth:`route` and :meth:`broadcast` read, so a driver that applies
+        them in CSR edge order reproduces the reference engine's decisions
+        bit for bit.  Callers must not mutate the returned arrays.
         """
-        np = self._np
         self._round = round_index
         keep = self._alive
         delays = None
@@ -521,7 +522,8 @@ class FaultSession:
             keep = keep & (self._drop_u >= self._drop_p)
         if self._has_latency:
             self._ensure_uniforms()
-            delays = (self._lat_u * self._lat_span).astype(np.int64) + self._lat_low
+            delays = (self._lat_u * self._lat_span).astype(self.delay_dtype)
+            delays += self._lat_low_delays
         return keep, delays
 
     # ------------------------------------------------------------------ #
@@ -569,6 +571,27 @@ def _by_round(np, rounds, *columns) -> Dict[int, Tuple[Any, ...]]:
         int(rounds[lo]): tuple(column[lo:hi] for column in columns)
         for lo, hi in zip(starts.tolist(), ends.tolist())
     }
+
+
+class _IdentityIndex:
+    """``{i: i for i in range(n)}`` without the dict.
+
+    A key resolves exactly as in that dict: an integer's hash is itself, so
+    a lookup finds ``i`` iff the key hashes to ``i`` and equals it (``3``,
+    ``np.int64(3)``, ``3.0``, ``True`` for 1); anything else is missing.
+    """
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __contains__(self, key: Hashable) -> bool:
+        index = hash(key)
+        return 0 <= index < self._n and index == key
+
+    def __getitem__(self, key: Hashable) -> int:
+        if key in self:
+            return hash(key)
+        raise KeyError(key)
 
 
 class _EdgeKeys:

@@ -380,9 +380,9 @@ def test_csr_runs_fault_plans_byte_identical():
 
 
 def test_latencies_past_a_byte_match_the_reference():
-    """The driver sorts delays as ``uint8`` keys (a radix sort) only when the
-    session's largest latency is below 256; both key widths deliver in the
-    reference engine's order."""
+    """The session hands out delays as ``uint8`` only when its largest
+    latency is below 256; both widths deliver in the reference engine's
+    order."""
     from repro.faults import FaultSpec
     from repro.faults.session import FaultSession
 
@@ -390,7 +390,7 @@ def test_latencies_past_a_byte_match_the_reference():
     for latency_max, dtype in ((2, np.uint8), (300, np.int64)):
         faults = FaultSpec(latency_max=latency_max, drop_probability=0.1, seed=5)
         plan = faults.materialize(csr)
-        assert FaultSession.for_csr(plan, csr).delay_sort_dtype is dtype
+        assert FaultSession.for_csr(plan, csr).delay_dtype is dtype
         for algorithm in ("deterministic", "lw-randomized"):
             spec = dict(algorithm=algorithm, alpha=csr.alpha, faults=faults, seed=2)
             kernel = Session().run(RunSpec(graph=csr, engine="kernel", **spec))

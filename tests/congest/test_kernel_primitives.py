@@ -9,7 +9,9 @@ Four layers are covered:
 * the **two inbox forms** of :mod:`repro.congest.kernels.faults` -- a
   fault-free broadcast delivered whole, and the same broadcast expanded
   into entry columns -- answer every operator identically, the ordered sum
-  over any row mask included;
+  over any row mask included; and a faulted round's inbox, built in arrival
+  order without a sort, matches the reference dict assembly (first
+  arrival's position, last arrival's payload, crash drops before dedupe);
 * the **primal-dual load bounds**: a decide-round candidate whose load is
   not summed could not have joined, and only fault-free whole broadcasts
   let any candidate go unsummed;
@@ -38,12 +40,15 @@ from hypothesis import strategies as st
 from repro.congest.kernels.csr import (
     int_bit_lengths,
     ordered_row_sum,
+    row_positions,
     segment_any,
     segment_min,
     segment_min_argrank,
     segment_sum,
 )
 from repro.congest.kernels.faults import (
+    KIND_JOINED_S,
+    KIND_SELECTED,
     KIND_X,
     FaultedRun,
     Inbox,
@@ -185,6 +190,19 @@ class TestSegmentPrimitives:
         assert _bits(summed) == _bits(expected)
 
     @FAST
+    @given(**graph_params, data=st.data())
+    def test_row_positions_finds_every_edge(self, n, alpha, seed, data):
+        _, csr = _random_csr(n, alpha, seed)
+        m = len(csr.indices)
+        edges = np.array(
+            data.draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=60 if m else 0)),
+            dtype=np.int64,
+        )
+        rows = np.repeat(np.arange(csr.n), np.diff(csr.indptr))[edges]
+        found = row_positions(csr.indptr, csr.indices, rows, csr.indices[edges])
+        assert found.tolist() == edges.tolist()
+
+    @FAST
     @given(values=st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=30))
     def test_int_bit_lengths_matches_python(self, values):
         array = np.asarray(values, dtype=np.int64)
@@ -299,9 +317,22 @@ def _assert_inbox_forms_agree(
             whole.received_edges(code, whole_run).tolist()
             == expanded.received_edges(code, expanded_run).tolist()
         )
+    # Both forms list every receiver's entries in arrival order; how the
+    # receivers interleave is free.
+    whole_columns, expanded_columns = _by_receiver(whole), _by_receiver(expanded)
     for column in ("recv", "send", "kind", "ival"):
-        assert getattr(whole, column).tolist() == getattr(expanded, column).tolist()
-    assert _bits(whole.fval) == _bits(expanded.fval)
+        assert whole_columns[column].tolist() == expanded_columns[column].tolist()
+    assert _bits(whole_columns["fval"]) == _bits(expanded_columns["fval"])
+
+
+def _by_receiver(inbox):
+    """The inbox's columns grouped by receiver, each receiver's entries kept
+    in inbox order."""
+    order = np.argsort(inbox.recv, kind="stable")
+    return {
+        column: getattr(inbox, column)[order]
+        for column in ("recv", "send", "kind", "ival", "fval")
+    }
 
 
 class TestInboxForms:
@@ -389,6 +420,145 @@ class TestInboxForms:
         _assert_inbox_forms_agree(
             csr, senders | (values > 0), rng.random(n) < 0.8, 0, values, None, np.zeros(n)
         )
+
+
+class _Scripted(NullHooks):
+    """Fixed fates: ``keep`` in every round, ``delays[round]`` per round."""
+
+    def __init__(self, keep, delays):
+        self.keep, self.delays = keep, delays
+
+    def edge_fates(self, round_index):
+        return self.keep, self.delays[round_index]
+
+
+def _reference_inboxes(grid, arrivals, crashed):
+    """The reference engine's assembly (``FaultSession.collect``): arrivals
+    in ``(send round, sender, neighbor)`` order, each into a crashed
+    receiver counted as dropped, the rest into per-receiver dicts."""
+    inboxes, dropped = {}, 0
+    for receiver, sender, payload in arrivals:
+        if crashed[receiver]:
+            dropped += 1
+        else:
+            inboxes.setdefault(receiver, {})[sender] = payload
+    return inboxes, dropped
+
+
+def _sent_arrivals(grid, senders, payload, reaches=lambda edge: True):
+    """One send round's arrivals over ``reaches`` edges, in CSR order."""
+    return [
+        (int(grid.indices[edge]), int(grid.edge_src[edge]), payload(int(grid.edge_src[edge])))
+        for edge in range(len(grid.indices))
+        if senders[grid.edge_src[edge]] and reaches(edge)
+    ]
+
+
+def _assert_matches_reference(inbox, inboxes):
+    """Per receiver: the same senders in the same order, with the same
+    ``(kind, ival, fval)`` payloads, bit for bit."""
+    columns = _by_receiver(inbox)
+    expected = [
+        (receiver, sender, *payload)
+        for receiver in sorted(inboxes)
+        for sender, payload in inboxes[receiver].items()
+    ]
+    got = list(zip(*(columns[c].tolist() for c in ("recv", "send", "kind", "ival"))))
+    assert got == [entry[:4] for entry in expected]
+    assert _bits(columns["fval"]) == _bits([entry[4] for entry in expected])
+
+
+class TestArrivalOrder:
+    """The faulted inbox keeps the reference dict semantics without a sort:
+    per ``(receiver, sender)`` pair the first arrival fixes the position and
+    the last the payload; per receiver, entries stay in arrival order."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_pair_keeps_first_position_and_last_payload(self, seed):
+        # Round 0 broadcasts x, some edges delayed one round; round 1
+        # broadcasts joined_s on time.  Both reach round 2, where a pair
+        # holding both arrives as joined_s at its x's position.
+        grid = grid_from_csr(_hub_csr(30, 2, seed, 1))
+        n, m = grid.n, len(grid.indices)
+        rng = np.random.default_rng(seed)
+        keep = rng.random(m) < 0.9
+        delays = {0: (rng.random(m) < 0.5).astype(np.uint8), 1: np.zeros(m, np.uint8)}
+        joined = rng.random(n) < 0.5
+        x = rng.choice([1e16, -1e16, 1.0, 3.0, 0.5, -0.0], n) * (1 + rng.random(n))
+        # The hub is crashed and every edge into it carries a repeated pair.
+        hub = int(np.argmax(grid.degrees))
+        crashed = np.arange(n) == hub
+        into_hub = np.flatnonzero(grid.indices == hub)
+        keep[into_hub], delays[0][into_hub] = True, 1
+        joined[grid.edge_src[into_hub]] = True
+        # Into one live neighbor, only the highest sender's x is delayed:
+        # its repeated pair leads, ahead of the lower senders' joined_s.
+        neighbor = next(
+            int(u) for u in grid.indices[grid.indptr[hub]:grid.indptr[hub + 1]]
+            if grid.degrees[u] >= 3
+        )
+        into = np.flatnonzero(grid.indices == neighbor)
+        keep[into], delays[0][into], delays[0][into[-1]] = True, 0, 1
+        joined[grid.edge_src[into]] = True
+        sent_x = x.copy()
+        run = FaultedRun(grid, _Scripted(keep, delays), budget=0, strict=False,
+                         metrics=RunMetrics())
+        run.round_metrics = RoundMetrics(round_index=0)
+        run.broadcast(0, np.ones(n, dtype=bool), KIND_X, bits=1, fvalues=x)
+        x *= 3.0  # the program moves on; the batch keeps the sent values
+        run.round_metrics = RoundMetrics(round_index=1)
+        run.broadcast(1, joined, KIND_JOINED_S, bits=1)
+        acting = ~crashed
+        inbox, dropped = run._collect(2, crashed, acting)
+
+        arrivals = _sent_arrivals(
+            grid, np.ones(n, dtype=bool), lambda u: (KIND_X, 1, sent_x[u]),
+            lambda edge: keep[edge] and delays[0][edge] == 1,
+        ) + _sent_arrivals(grid, joined, lambda u: (KIND_JOINED_S, 1, 0.0), keep.__getitem__)
+        inboxes, expected_dropped = _reference_inboxes(grid, arrivals, crashed)
+        _assert_matches_reference(inbox, inboxes)
+        senders = grid.edge_src[into].tolist()
+        assert list(inboxes[neighbor]) == senders[-1:] + senders[:-1]
+        assert any(p[0] == KIND_X for inbox_v in inboxes.values() for p in inbox_v.values())
+
+        base = rng.choice([1e16, -1e16, 1.0, -0.0], n)
+        expected_sums = [
+            _left_fold(base[v], [
+                payload[2] for payload in inboxes.get(v, {}).values() if payload[0] == KIND_X
+            ])
+            for v in range(n)
+        ]
+        assert _bits(inbox.ordered_float_sum((KIND_X,), base)) == _bits(expected_sums)
+
+        # Every arrival into the crashed hub counts, repeated pairs included.
+        into_hub = sum(1 for receiver, _, _ in arrivals if receiver == hub)
+        assert dropped == expected_dropped == into_hub
+        assert into_hub > grid.degrees[hub]
+
+    def test_broadcast_sharing_its_round_keeps_batch_order(self):
+        # Without fates a broadcast stays unexpanded; a unicast in the same
+        # round makes the collect expand it beside the unicast's edges.
+        grid = grid_from_csr(_hub_csr(20, 2, 5, 1))
+        n = grid.n
+        rng = np.random.default_rng(5)
+        senders = rng.random(n) < 0.6
+        x = rng.random(n)
+        run = FaultedRun(grid, NullHooks(), budget=0, strict=False, metrics=RunMetrics())
+        run.round_metrics = RoundMetrics(round_index=0)
+        run.broadcast(0, senders, KIND_X, bits=1, fvalues=x)
+        picking = np.flatnonzero(grid.degrees > 0)
+        targets = grid.indices[grid.indptr[picking] + grid.degrees[picking] - 1]
+        run.unicast(0, picking, targets, KIND_SELECTED, bits=1)
+        assert not senders[picking].all()  # some unicasts follow no broadcast
+        inbox, dropped = run._collect(1, None, np.ones(n, dtype=bool))
+
+        chosen = dict(zip(picking.tolist(), targets.tolist()))
+        arrivals = _sent_arrivals(grid, senders, lambda u: (KIND_X, 1, x[u])) + [
+            (target, sender, (KIND_SELECTED, 1, 0.0)) for sender, target in chosen.items()
+        ]
+        inboxes, _ = _reference_inboxes(grid, arrivals, np.zeros(n, dtype=bool))
+        _assert_matches_reference(inbox, inboxes)
+        assert dropped == 0
 
 
 #: Small epsilons (long schedules of fine growth steps) and ones near 1.

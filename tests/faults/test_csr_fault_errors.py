@@ -39,6 +39,26 @@ def test_crash_on_unknown_node():
         _run(_columnar(crash=((99, 1, -1),)))
 
 
+@pytest.mark.parametrize("node", [9, -1, -2])
+def test_crash_on_out_of_range_node(node):
+    # The grid's ids are 0..8: one past the last and negative ids name no
+    # node.  Both -1 and -2 are tried: CPython hashes -1 like -2, so an
+    # index lookup keyed on the hash must still bound-check both.
+    message = f"crash fault names unknown node {node}"
+    with pytest.raises(ValueError, match=message):
+        _run(FaultPlan(crashes=(CrashFault(node, start=1),)))
+    with pytest.raises(ValueError, match=message):
+        _run(_columnar(crash=((node, 1, -1),)))
+
+
+@pytest.mark.parametrize("u, v", [(8, 9), (-2, 0)])
+def test_link_fault_on_out_of_range_endpoint(u, v):
+    with pytest.raises(
+        ValueError, match=f"link fault names unknown node in edge \\({u}, {v}\\)"
+    ):
+        _run(FaultPlan(links=(LinkFault(u, v, drop_probability=1.0),)))
+
+
 def test_link_fault_on_missing_edge():
     with pytest.raises(ValueError, match=f"link fault {MISSING_EDGE}"):
         _run(FaultPlan(links=(LinkFault(0, 5, drop_probability=1.0),)))
