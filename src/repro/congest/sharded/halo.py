@@ -44,6 +44,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.congest.kernels.csr import row_positions
 from repro.congest.kernels.faults import FaultedRun, Inbox, NullHooks, _Broadcast
 from repro.congest.metrics import RoundMetrics
 from repro.congest.sharded.shmem import (
@@ -85,12 +86,10 @@ class ShardedRun(FaultedRun):
         self.views = views
         self.shard = spec.index
         self.halo_bytes = 0
-        # Local rows keep *global*-ascending neighbor order, so (src, dst)
-        # keys are not sorted (halo locals sort after own); one argsort
-        # permutation makes edge_positions a searchsorted again.
-        keys = grid.edge_src * grid.n + grid.indices
-        self._key_order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._key_order]
+        # Local rows keep *global*-ascending neighbor order (halo locals
+        # sort after own), so edge_positions searches the global ids.
+        self._global = np.concatenate([spec.own, spec.halo])
+        self._global_indices = self._global[grid.indices]
         # Peer shards this shard exchanges with (symmetric: undirected
         # cross edges induce both lane directions).
         self._peers = sorted(spec.in_recv)
@@ -106,9 +105,7 @@ class ShardedRun(FaultedRun):
 
     def edge_positions(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Local CSR edge positions of the directed edges ``src -> dst``."""
-        return self._key_order[
-            np.searchsorted(self._sorted_keys, src * np.int64(self.grid.n) + dst)
-        ]
+        return row_positions(self.grid.indptr, self._global_indices, src, self._global[dst])
 
     def begin_round(self, round_index: int) -> None:
         """Reset this round's stats and clear the outgoing parity buffer."""
