@@ -383,7 +383,7 @@ class FaultedRun:
         self._fates_round = -1
         self._fates: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
         # Per directed edge: the first and the last arrival's position in a
-        # round's concatenated batches (scratch, valid only where written).
+        # round's concatenated batches (reused buffers, valid only where written).
         self._arrivals: Optional[np.ndarray] = None
 
     # -- edge helpers ------------------------------------------------------
