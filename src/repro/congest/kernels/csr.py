@@ -39,6 +39,7 @@ __all__ = [
     "segment_min_argrank",
     "int_bit_lengths",
     "slice_positions",
+    "row_positions",
     "ordered_row_sum",
 ]
 
@@ -124,17 +125,22 @@ def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def row_positions(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """CSR position of ``values[i]`` in row ``rows[i]`` (rows ascending, every
-    value present): one lower-bound binary search over all rows at once,
-    with no per-edge key column."""
-    lo = indptr[rows]
-    count = indptr[rows + 1] - lo
-    while count.any():
-        half = count >> 1
-        right = indices[lo + half] < values
-        lo = np.where(right, lo + half + 1, lo)
-        count = np.where(right, count - half - 1, half)
-    return lo
+    """CSR position of ``values[i]`` in non-empty row ``rows[i]``, pairs in
+    any order: one lower-bound binary search over all rows at once.
+
+    A value its row lacks gets the position of the row's next larger value
+    or the row's end, so callers that cannot guarantee every pair is an
+    edge compare ``indices`` at the result.
+    """
+    at = indptr[rows]
+    width = indptr[rows + 1] - at
+    # The lower bound lies in [at, at + width]; every read is inside the row.
+    while True:
+        half = width >> 1
+        if not half.any():
+            return at + (indices[at] < values)
+        at = at + np.where(indices[at + half] < values, half, 0)
+        width -= half
 
 
 def ordered_row_sum(

@@ -213,8 +213,11 @@ class _Broadcast(NamedTuple):
     def edge_batch(self, run) -> "_EdgeBatch":
         """The batch as edges, in :meth:`columns`' receiver-major order: per
         receiver that is still ascending sender order."""
-        recv, send = self.columns(run.grid)[:2]
-        return _EdgeBatch(run.edge_positions(send, recv), send, self.kind, self.ival, self.fval)
+        grid = run.grid
+        entries = np.flatnonzero(self.sent[grid.indices])
+        send = grid.indices[entries]
+        edges = run.edge_positions(send, grid.edge_src[entries])
+        return _EdgeBatch(edges, send, self.kind, self.ival, self.fval)
 
 
 class _EdgeBatch(NamedTuple):
@@ -515,8 +518,8 @@ class FaultedRun:
         """Queue a batch of kept edges by arrival round.
 
         One ``flatnonzero`` pass per present delay splits the batch, each
-        part in ascending sender order; past four delays (wide latency
-        windows) one stable sort, a radix sort on ``uint8``, is cheaper.
+        part in batch order; past two delays a stable sort would be cheaper
+        (ROADMAP), but no benchmarked plan has more.
         """
         _, delays = self._fates
         if delays is None:
@@ -529,13 +532,8 @@ class FaultedRun:
         if present.size == 1:
             self._push(round_index + 1 + int(present[0]), batch)
             return
-        if present.size > 4:
-            order = np.argsort(kept_delays, kind="stable")
-            parts = np.split(order, np.cumsum(counts[present])[:-1])
-        else:
-            parts = [np.flatnonzero(kept_delays == delay) for delay in present]
-        for delay, part in zip(present.tolist(), parts):
-            self._push(round_index + 1 + delay, batch.take(part))
+        for delay in present.tolist():
+            self._push(round_index + 1 + delay, batch.take(np.flatnonzero(kept_delays == delay)))
 
     def broadcast(self, round_index, senders, kind, *, bits, values=None, fvalues=None):
         """Broadcast one payload kind from every sender in ``senders``.

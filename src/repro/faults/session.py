@@ -87,13 +87,12 @@ class FaultSession:
         identity index stand in for the layout's, and a columnar plan
         (:meth:`FaultPlan.from_columns`, what materialising on a CSR graph
         builds) compiles from its arrays without creating a Python object
-        per event.  Edge positions come from a binary search over the
-        sorted directed-edge keys; nothing is cached on the graph.  The
-        resulting session makes exactly the decisions
-        :meth:`route`/:meth:`broadcast` would make on the equivalent
-        ``Network`` (same CSR edge positions, same seeded uniforms), which
-        is what keeps kernel runs on ``CSRGraph`` inputs byte-identical to
-        reference runs on ``to_networkx()``.
+        per event.  Edge positions come from a binary search within each
+        CSR row; nothing is cached on the graph.  The resulting session
+        makes exactly the decisions :meth:`route`/:meth:`broadcast` would
+        make on the equivalent ``Network`` (same CSR edge positions, same
+        seeded uniforms), which is what keeps kernel runs on ``CSRGraph``
+        inputs byte-identical to reference runs on ``to_networkx()``.
         """
         session = cls.__new__(cls)
         n = int(csr_graph.n)
@@ -595,41 +594,37 @@ class _IdentityIndex:
 
 
 class _EdgeKeys:
-    """Directed-edge positions by binary search over sorted ``src * n + dst`` keys.
+    """Directed-edge positions by a binary search within each CSR row.
 
-    One ``int64`` array stands in for a Python dict entry per directed
-    edge; the mapping protocol (``keys[(src, dst)]``, ``(src, dst) in
-    keys``) serves the scalar paths of a session on a CSR graph.
+    Nothing per edge is stored beside the CSR arrays; the mapping protocol
+    (``keys[(src, dst)]``, ``(src, dst) in keys``) serves the scalar paths
+    of a session on a CSR graph.
     """
 
     def __init__(self, np, indptr, indices, n: int):
-        degrees = np.diff(np.asarray(indptr, dtype=np.int64))
-        keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n + np.asarray(
-            indices, dtype=np.int64
-        )
-        # The binary search needs the canonical CSR layout: every neighbor
-        # list ascending, no duplicate edge.
-        if keys.size > 1 and not bool((np.diff(keys) > 0).all()):
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        # The binary search needs every neighbor list strictly ascending:
+        # ``rising[p]`` holds if ``p`` starts a row or exceeds ``p - 1``.
+        rising = np.ones(indices.size + 1, dtype=bool)
+        rising[1:-1] = indices[1:] > indices[:-1]
+        rising[indptr] = True
+        if not bool(rising.all()):
             raise ValueError("fault plans need CSR neighbor lists sorted ascending")
-        self._np, self._keys, self._n = np, keys, np.int64(n)
+        self._np, self._indptr, self._indices, self._n = np, indptr, indices, n
 
     def position(self, u_idx, v_idx):
         """Positions of the directed edges ``u -> v``, or ``None`` if one is absent."""
-        np, keys = self._np, self._keys
-        key = np.asarray(u_idx, dtype=np.int64) * self._n + np.asarray(v_idx, dtype=np.int64)
-        if not key.size:
-            return key
-        if not keys.size:
+        from repro.congest.kernels.csr import row_positions
+
+        np, indptr, indices = self._np, self._indptr, self._indices
+        u, v = np.asarray(u_idx, dtype=np.int64), np.asarray(v_idx, dtype=np.int64)
+        inside = bool(((u >= 0) & (u < self._n)).all())
+        if not inside or not bool((indptr[u + 1] > indptr[u]).all()):
             return None
-        # Searching in ascending order keeps the binary searches cache-local
-        # (several times faster on large random batches).
-        order = np.argsort(key, kind="stable")
-        ascending = key[order]
-        found = np.searchsorted(keys, ascending).clip(max=keys.size - 1)
-        if (keys[found] != ascending).any():
+        at = row_positions(indptr, indices, u, v)
+        # A missing value's lower bound is its row's end or another edge.
+        if bool((at == indptr[u + 1]).any()) or bool((indices[at] != v).any()):
             return None
-        at = np.empty_like(found)
-        at[order] = found
         return at
 
     def positions(self, u_idx, v_idx):

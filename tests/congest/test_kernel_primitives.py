@@ -203,6 +203,23 @@ class TestSegmentPrimitives:
         assert found.tolist() == edges.tolist()
 
     @FAST
+    @given(**graph_params, data=st.data())
+    def test_row_positions_gives_a_missing_value_its_lower_bound(self, n, alpha, seed, data):
+        _, csr = _random_csr(n, alpha, seed)
+        nonempty = np.flatnonzero(np.diff(csr.indptr))
+        pairs = st.tuples(st.sampled_from(nonempty.tolist()), st.integers(-1, n + 1))
+        drawn = data.draw(st.lists(pairs, max_size=40)) if nonempty.size else []
+        rows = np.array([row for row, _ in drawn], dtype=np.int64)
+        values = np.array([value for _, value in drawn], dtype=np.int64)
+        found = row_positions(csr.indptr, csr.indices, rows, values)
+        expected = [
+            csr.indptr[row]
+            + np.searchsorted(csr.indices[csr.indptr[row] : csr.indptr[row + 1]], value)
+            for row, value in drawn
+        ]
+        assert found.tolist() == expected
+
+    @FAST
     @given(values=st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=30))
     def test_int_bit_lengths_matches_python(self, values):
         array = np.asarray(values, dtype=np.int64)

@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.faults import ChurnEvent, CrashFault, FaultPlan, LinkFault
 from repro.faults.plan import PlanColumns
-from repro.graphs.large_scale import large_grid
+from repro.graphs.large_scale import csr_from_edges, large_grid
 
 MISSING_EDGE = "names edge \\(0, 5\\) which is not in the input graph"
 
@@ -75,3 +75,19 @@ def test_churn_on_missing_edge():
         _run(FaultPlan(churn=(ChurnEvent(0, "remove", 0, 99),)))
     with pytest.raises(ValueError, match="churn event names unknown node"):
         _run(_columnar(churn=((0, 0, 99, False),)))
+
+
+def test_plans_naming_an_isolated_node_report_the_missing_edge():
+    # Node 3 has no neighbors: its CSR row is empty and starts at the end
+    # of ``indices``, so no search may read inside it.
+    csr = csr_from_edges(4, np.array([0, 1]), np.array([1, 2]))
+
+    def run(plan):
+        spec = repro.RunSpec(graph=csr, algorithm="deterministic", engine="kernel", faults=plan)
+        return repro.execute(spec)
+
+    missing = "names edge \\(3, 0\\) which is not in the input graph"
+    with pytest.raises(ValueError, match=f"link fault {missing}"):
+        run(FaultPlan(links=(LinkFault(3, 0, drop_probability=1.0),)))
+    with pytest.raises(ValueError, match=f"churn event {missing}"):
+        run(_columnar(churn=((0, 3, 0, False),)))
