@@ -518,8 +518,8 @@ class FaultedRun:
         """Queue a batch of kept edges by arrival round.
 
         One ``flatnonzero`` pass per present delay splits the batch, each
-        part in batch order; past two delays a stable sort would be cheaper
-        (ROADMAP), but no benchmarked plan has more.
+        part in batch order; from five delays one stable sort is cheaper
+        (ROADMAP), but no benchmarked plan has more than two.
         """
         _, delays = self._fates
         if delays is None:
