@@ -29,13 +29,14 @@ out-degree guarantee -- every node's out-degree is at most ``(2+eps)`` times
 the estimate in force when it is peeled, which is below ``2*(2+eps)*alpha`` --
 at the price of a worst-case ``O(log^2 n / eps)`` orientation stage instead
 of the remark's ``O(log n / eps)``.  The measured approximation factors are
-unaffected, which is what benchmark E7 verifies.
+unaffected, which is what benchmark E7 verifies.  The schedule depends only on
+``(n, eps)``, so each node computes it once per run, at setup.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.congest.algorithm import Outbox, SynchronousAlgorithm
 from repro.congest.message import Broadcast
@@ -60,8 +61,9 @@ class _InterleavedPrimalDual(SynchronousAlgorithm):
     * **round C** -- absorb join announcements, apply the ``(1+eps)``
       increase to still-undominated nodes, report domination status.
 
-    Subclasses define how many setup rounds precede the iterations and how
-    the per-node packing value and threshold are initialised.
+    Subclasses define how many setup rounds precede the iterations (read
+    once per node, at :meth:`setup`) and how the per-node packing value and
+    threshold are initialised.
     """
 
     congest = True
@@ -117,9 +119,10 @@ class _InterleavedPrimalDual(SynchronousAlgorithm):
                 "iterations_executed": 0,
             }
         )
+        node.state["setup_rounds"] = self.setup_rounds(node)
 
     def round(self, node: NodeContext, round_index: int, inbox: Dict[Hashable, dict]) -> Outbox:
-        setup_rounds = self.setup_rounds(node)
+        setup_rounds = node.state["setup_rounds"]
         if round_index < setup_rounds:
             return self.setup_round(node, round_index, inbox)
         offset = (round_index - setup_rounds) % 3
@@ -275,17 +278,16 @@ class UnknownArboricityMDSAlgorithm(_InterleavedPrimalDual):
 
     # -- schedule --------------------------------------------------------#
 
-    def _peeling_phases_per_block(self, n: int) -> int:
-        """Enough phases to exhaust a graph whose arboricity matches the block estimate."""
-        return max(1, math.ceil(math.log(n + 1) / math.log1p(self.epsilon / 2.0))) + 1
-
-    def _block_count(self, n: int) -> int:
-        """Doubling estimates ``1, 2, 4, ...`` up to ``n`` cover every possible arboricity."""
-        return max(1, math.ceil(math.log2(max(2, n)))) + 1
+    def peel_schedule(self, n: int) -> Tuple[int, int]:
+        """``(phases_per_block, peel_rounds)``: each block exhausts a graph whose
+        arboricity matches its estimate, and the estimates ``1, 2, 4, ...`` up
+        to ``n`` cover every possible arboricity."""
+        phases_per_block = max(1, math.ceil(math.log(n + 1) / math.log1p(self.epsilon / 2.0))) + 1
+        blocks = max(1, math.ceil(math.log2(max(2, n)))) + 1
+        return phases_per_block, blocks * phases_per_block
 
     def setup_rounds(self, node: NodeContext) -> int:
-        n = node.config["n"]
-        return 1 + self._block_count(n) * self._peeling_phases_per_block(n) + 2
+        return 1 + node.state["peel_rounds"] + 2
 
     def _fallback_alpha(self, node: NodeContext) -> int:
         # alpha is unknown here; the best local stand-in for a node that
@@ -295,23 +297,22 @@ class UnknownArboricityMDSAlgorithm(_InterleavedPrimalDual):
     # -- setup rounds -----------------------------------------------------#
 
     def setup(self, node: NodeContext) -> None:
-        super().setup(node)
+        phases_per_block, peel_rounds = self.peel_schedule(node.config["n"])
         node.state.update(
             {
+                "phases_per_block": phases_per_block,
+                "peel_rounds": peel_rounds,
                 "peeled": False,
                 "peeled_neighbors": set(),
                 "out_degree": 0,
                 "neighbor_out_degrees": {},
             }
         )
+        super().setup(node)  # reads peel_rounds through setup_rounds
 
     def setup_round(self, node: NodeContext, round_index: int, inbox: Dict[Hashable, dict]) -> Outbox:
         state = node.state
-        n = node.config["n"]
-        phases_per_block = self._peeling_phases_per_block(n)
-        blocks = self._block_count(n)
-        peel_rounds = blocks * phases_per_block
-
+        peel_rounds = state["peel_rounds"]
         if round_index == 0:
             return Broadcast({"weight": node.weight})
         if round_index == 1:
@@ -322,7 +323,7 @@ class UnknownArboricityMDSAlgorithm(_InterleavedPrimalDual):
             }
             state["tau"] = min([node.weight] + list(state["neighbor_weights"].values()))
         if 1 <= round_index <= peel_rounds:
-            return self._peeling_round(node, round_index - 1, inbox, phases_per_block)
+            return self._peeling_round(node, round_index - 1, inbox)
         if round_index == peel_rounds + 1:
             # Peeling is over; absorb the last announcements and publish the out-degree.
             self._absorb_peels(node, inbox)
@@ -341,7 +342,7 @@ class UnknownArboricityMDSAlgorithm(_InterleavedPrimalDual):
             # covered that round falls back to its own weight (always a
             # member of N+(v)) so the run degrades instead of crashing.
             state["tau"] = node.weight
-        state["x"] = state["tau"] / (n + 1)
+        state["x"] = state["tau"] / (node.config["n"] + 1)
         return None
 
     def _peeling_round(
@@ -349,13 +350,13 @@ class UnknownArboricityMDSAlgorithm(_InterleavedPrimalDual):
         node: NodeContext,
         phase_index: int,
         inbox: Dict[Hashable, dict],
-        phases_per_block: int,
     ) -> Outbox:
         state = node.state
-        self._absorb_peels(node, inbox)
         if state["peeled"]:
+            # Only an unpeeled node reads peeled_neighbors.
             return None
-        estimate = 2 ** (phase_index // phases_per_block)
+        self._absorb_peels(node, inbox)
+        estimate = 2 ** (phase_index // state["phases_per_block"])
         threshold = (2.0 + self.epsilon) * estimate
         remaining = node.degree - len(state["peeled_neighbors"])
         if remaining <= threshold:
@@ -371,6 +372,6 @@ class UnknownArboricityMDSAlgorithm(_InterleavedPrimalDual):
 
     def max_rounds(self, network) -> Optional[int]:
         n = max(2, network.n)
-        setup = 1 + self._block_count(n) * self._peeling_phases_per_block(n) + 2
+        setup = 1 + self.peel_schedule(n)[1] + 2
         iterations = int(math.log(n + 1) / math.log1p(self.epsilon)) + 6
         return setup + 3 * iterations + 6

@@ -6,12 +6,14 @@ import math
 
 import pytest
 
+from repro import RunSpec, execute
 from repro.baselines.exact import exact_minimum_weight_dominating_set
 from repro.congest.simulator import run_algorithm
 from repro.core.unknown_params import UnknownArboricityMDSAlgorithm, UnknownDegreeMDSAlgorithm
 from repro.graphs.arboricity import arboricity
-from repro.graphs.generators import random_tree
+from repro.graphs.generators import random_bounded_arboricity_graph, random_tree
 from repro.graphs.validation import dominating_set_weight, is_dominating_set
+from repro.run.result import result_bytes
 
 
 class TestUnknownDegree:
@@ -114,3 +116,23 @@ class TestUnknownArboricity:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             UnknownArboricityMDSAlgorithm(epsilon=0.0)
+
+    def test_peel_schedule_computed_once_per_node(self, monkeypatch):
+        """The schedule depends only on (n, eps): nodes compute it at setup, not per round."""
+        calls = []
+        schedule = UnknownArboricityMDSAlgorithm.peel_schedule
+
+        def spy(algorithm, n):
+            calls.append(n)
+            return schedule(algorithm, n)
+
+        monkeypatch.setattr(UnknownArboricityMDSAlgorithm, "peel_schedule", spy)
+        graph = random_bounded_arboricity_graph(60, alpha=2, seed=3)
+        runs = {}
+        for engine in ("batched", "reference"):
+            calls.clear()
+            spec = RunSpec(graph=graph, algorithm="unknown-arboricity", seed=3, engine=engine)
+            runs[engine] = execute(spec)
+            # One call per node at setup, plus one for the run's max_rounds.
+            assert len(calls) <= graph.number_of_nodes() + 1, engine
+        assert result_bytes(runs["batched"]) == result_bytes(runs["reference"])

@@ -147,7 +147,7 @@ class TestCrashes:
             # Cover the *final* setup round, where lambda/alpha_hat are
             # derived -- the victim recovers directly into the iterations.
             n = graph.number_of_nodes()
-            start = algorithm._block_count(n) * algorithm._peeling_phases_per_block(n) + 2
+            start = algorithm.peel_schedule(n)[1] + 2
         plan = FaultPlan(crashes=(CrashFault(victim, start=start, recover=start + 3),))
         result = _run(
             graph, plan, inner, algorithm=algorithm, knows_max_degree=False, **kwargs
