@@ -9,12 +9,14 @@ module holds the two per-node ones:
   It is the correctness oracle: every semantic question ("in which order are
   inbox entries inserted?", "when exactly does a bandwidth violation raise?")
   is answered by this code.
-* :class:`BatchedEngine` -- a vectorized fast path.  It flattens the network
-  into CSR-style adjacency arrays once per run, memoizes payload bit
-  estimates, aggregates per-round message/bit metrics with NumPy reductions,
-  and builds each node's inbox lazily (only for nodes that are still active).
-  Broadcasts -- the dominant message pattern of the paper's algorithms -- cost
-  one bit estimate per *sender* instead of one per *delivery*.
+* :class:`BatchedEngine` -- a vectorized fast path.  It reads the network's
+  cached CSR-style adjacency layout, aggregates per-round message/bit metrics
+  with NumPy reductions, and builds each node's inbox lazily (only for nodes
+  that are still active).  Broadcasts -- the dominant message pattern of the
+  paper's algorithms -- cost one bit estimate per *sender* instead of one per
+  *delivery*.  A node that promised to sleep
+  (:meth:`~repro.congest.node.NodeContext.sleep_until`) is not called while
+  its inbox is empty.
 
 The two engines are observationally identical: same outputs, same round
 counts, same per-round metrics, same exceptions.  This is not accidental but
@@ -113,10 +115,6 @@ __all__ = [
 #: Sentinel distinguishing "no message" from a legitimately falsy payload.
 _MISSING = object()
 
-#: Cap on the payload-bits memo so adversarial payload streams cannot grow it
-#: without bound; the paper's algorithms send a handful of distinct payloads.
-_BITS_MEMO_LIMIT = 4096
-
 
 class Engine(abc.ABC):
     """Strategy interface: execute an algorithm's synchronous rounds.
@@ -168,12 +166,12 @@ class Engine(abc.ABC):
 
         Shared so the engines cannot drift apart on lifecycle semantics
         (crash filtering, the round-limit policy, metrics bookkeeping, the
-        unicast path); the two strategy points that differ per engine are
-        :meth:`_hooked_bits` (payload-size estimation) and
+        unicast path); the one strategy point that differs per engine is
         :meth:`_hooked_broadcast` (broadcast delivery -- per message on the
-        reference engine, mask-based on the batched engine).  Under no-op
-        hooks (an empty fault plan) this loop is byte-identical to the
-        engine's plain path.
+        reference engine, mask-based on the batched engine).  Every active
+        node is called in every round: sleep promises are not honoured here.
+        Under no-op hooks (an empty fault plan) this loop is byte-identical
+        to the engine's plain path.
         """
         metrics = RunMetrics(bandwidth_budget_bits=budget)
         metrics.engine_used = self.name
@@ -187,7 +185,7 @@ class Engine(abc.ABC):
         for context in contexts:
             algorithm.setup(context)
         neighbor_indices: List[List[int]] = layout.neighbor_indices
-        bits_of = self._hooked_bits(network)
+        bits_n = max(2, network.n)
 
         round_index = 0
         while True:
@@ -225,7 +223,7 @@ class Engine(abc.ABC):
                     if not context.neighbors:
                         continue
                     payload = outbox.payload
-                    bits = bits_of(payload)
+                    bits = estimate_payload_bits(payload, bits_n)
                     if budget and bits > budget and strict:
                         raise BandwidthViolation(
                             context.node_id,
@@ -252,7 +250,7 @@ class Engine(abc.ABC):
                                 f"node {sender_id!r} attempted to send to "
                                 f"non-neighbor {neighbor!r}"
                             )
-                        bits = bits_of(payload)
+                        bits = estimate_payload_bits(payload, bits_n)
                         if budget and bits > budget and strict:
                             raise BandwidthViolation(
                                 sender_id, neighbor, bits, budget, round_index=round_index
@@ -268,11 +266,6 @@ class Engine(abc.ABC):
             for node_id, context in zip(node_order, contexts)
         }
         return outputs, metrics
-
-    def _hooked_bits(self, network):
-        """Payload-size estimator for the hooked loop (override to memoize)."""
-        bits_n = max(2, network.n)
-        return lambda payload: estimate_payload_bits(payload, bits_n)
 
     def _hooked_broadcast(self, hooks, round_index, sender_index, neighbor_indices, payload):
         """Deliver one broadcast through the hooks; return (kept, dropped, delayed).
@@ -401,15 +394,19 @@ class BatchedEngine(Engine):
       keys are arbitrary hashables).  ``Network.are_neighbors`` is never
       consulted for broadcasts.
     * **Broadcast accounting** is per sender, not per delivery: the payload
-      bits are estimated once (with memoization across rounds -- algorithms
-      resend structurally identical payloads), the strict bandwidth check is
-      one scalar comparison, and the round's message/bit totals are NumPy
-      reductions ``degrees[senders].sum()`` / ``dot(bits, degrees[senders])``.
+      bits are estimated once, the strict bandwidth check is one scalar
+      comparison, and the round's message/bit totals are NumPy reductions
+      ``degrees[senders].sum()`` / ``dot(bits, degrees[senders])``.
     * **Inboxes** are built lazily, only for nodes still active, by scanning
       the receiver's order-sorted neighbor list against the previous round's
       send buffers.  This reproduces the reference engine's inbox insertion
       order exactly (senders in global node order), which matters because
       algorithms fold inbox floats in iteration order.
+    * **Sleeping nodes** are not called while their inbox is empty: by
+      their promise such a call changes nothing.  When no mail is in flight
+      and every active node sleeps, the loop jumps to the earliest wake round
+      (at most ``limit``), stamping and recording each skipped round, so
+      rounds, metrics, traces and errors match the reference engine.
 
     Explicit per-neighbor outboxes (the rare unicast path) fall back to
     per-delivery accounting identical to the reference engine, so mixed
@@ -449,7 +446,6 @@ class BatchedEngine(Engine):
         sorted_neighbors: List[List[Hashable]] = layout.sorted_neighbor_ids
 
         bits_n = max(2, network.n)
-        bits_memo: Dict[tuple, int] = layout.bits_memo
 
         # Send buffers of the previous round: broadcast payload per sender id,
         # and explicit receiver->payload maps for unicast senders.  When the
@@ -473,9 +469,22 @@ class BatchedEngine(Engine):
             if round_index >= limit:
                 raise NonConvergenceError(rounds=round_index, pending=len(active))
 
+            any_mail = bool(prev_broadcast) or bool(prev_unicast) or bool(prev_scattered)
+            if not any_mail:
+                wake = min(min(contexts[i]._wake for i in active), limit)
+                if wake > round_index:
+                    # Every active node sleeps and nothing is in flight: no
+                    # call would change anything until the earliest wake.
+                    while round_index < wake:
+                        stamp_round()
+                        metrics.record(
+                            RoundMetrics(round_index=round_index, active_nodes=len(active))
+                        )
+                        round_index += 1
+                    continue
+
             stamp_round()
             round_metrics = RoundMetrics(round_index=round_index, active_nodes=len(active))
-            any_mail = bool(prev_broadcast) or bool(prev_unicast) or bool(prev_scattered)
 
             broadcast_payloads: Dict[Hashable, Payload] = {}
             unicast_payloads: Dict[Hashable, Dict[Hashable, Payload]] = {}
@@ -507,6 +516,8 @@ class BatchedEngine(Engine):
                                 payload = deliveries.get(receiver_id, _MISSING)
                         if payload is not _MISSING:
                             inbox[u] = payload
+                if not inbox and context._wake > round_index:
+                    continue
 
                 outbox = algorithm.round(context, round_index, inbox)
                 if outbox is None:
@@ -517,7 +528,7 @@ class BatchedEngine(Engine):
                         # nor budget-checks a broadcast from an isolated node.
                         continue
                     payload = outbox.payload
-                    bits = self._payload_bits(payload, bits_n, bits_memo)
+                    bits = estimate_payload_bits(payload, bits_n)
                     if budget and bits > budget and strict:
                         # The reference engine raises at the first delivery,
                         # which for a broadcast is the first listed neighbor.
@@ -540,7 +551,7 @@ class BatchedEngine(Engine):
                                 f"node {sender_id!r} attempted to send to "
                                 f"non-neighbor {neighbor!r}"
                             )
-                        bits = self._payload_bits(payload, bits_n, bits_memo)
+                        bits = estimate_payload_bits(payload, bits_n)
                         if budget and bits > budget and strict:
                             raise BandwidthViolation(
                                 sender_id, neighbor, bits, budget, round_index=round_index
@@ -595,13 +606,6 @@ class BatchedEngine(Engine):
         }
         return outputs, metrics
 
-    def _hooked_bits(self, network):
-        # The batched engine keeps its payload-bits memo in hooked runs too,
-        # shared across executions through the network layout.
-        bits_n = max(2, network.n)
-        memo = network.layout().bits_memo
-        return lambda payload: self._payload_bits(payload, bits_n, memo)
-
     def _hooked_broadcast(self, hooks, round_index, sender_index, neighbor_indices, payload):
         # Fates are decided with NumPy masks over the session's CSR slice --
         # one call per sender, no per-message Python decisions.
@@ -649,29 +653,6 @@ class BatchedEngine(Engine):
                     else:
                         inbox[sender_id] = payload
         return inboxes
-
-    @staticmethod
-    def _payload_bits(payload: Payload, n: int, memo: Dict[tuple, int]) -> int:
-        """Memoized :func:`estimate_payload_bits`.
-
-        The key includes each value's *type*: Python treats ``1``, ``1.0``
-        and ``True`` as equal dict keys, but the wire-format estimate differs
-        per type (bool: 1 bit, int: bit length, float: two words), so a
-        value-only key would return the wrong cached size.  Payloads with
-        unhashable values (which :func:`estimate_payload_bits` rejects
-        anyway) bypass the memo so the reference engine's ``TypeError`` is
-        reproduced verbatim.
-        """
-        try:
-            key = tuple((k, type(v), v) for k, v in payload.items())
-            bits = memo.get(key)
-        except TypeError:
-            return estimate_payload_bits(payload, n)
-        if bits is None:
-            bits = estimate_payload_bits(payload, n)
-            if len(memo) < _BITS_MEMO_LIMIT:
-                memo[key] = bits
-        return bits
 
 
 #: Registry of engine names to engine classes.  The third tier -- the

@@ -49,9 +49,7 @@ class NetworkLayout:
     Engines used to rebuild all of this at the top of every execution; the
     layout is computed once per :class:`Network` (see :meth:`Network.layout`)
     and shared across runs, which is what makes a compiled
-    :class:`repro.run.Session` cheap to re-execute.  The payload-bits memo
-    lives here too: payload size estimates depend only on ``n``, so they are
-    safely reusable across executions on the same network.
+    :class:`repro.run.Session` cheap to re-execute.
     """
 
     __slots__ = (
@@ -60,7 +58,6 @@ class NetworkLayout:
         "contexts",
         "neighbor_indices",
         "sorted_neighbor_ids",
-        "bits_memo",
         "kernel_grid",
         "_degrees",
         "_csr",
@@ -88,10 +85,6 @@ class NetworkLayout:
         self.sorted_neighbor_ids: List[List[Hashable]] = [
             [node_order[j] for j in sorted(indices)] for indices in self.neighbor_indices
         ]
-        #: Memoized payload-bit estimates (see BatchedEngine._payload_bits);
-        #: keyed by payload content+types, valid for the lifetime of the
-        #: network because the estimates depend only on ``n``.
-        self.bits_memo: Dict[tuple, int] = {}
         #: Cached :class:`repro.congest.kernels.grid.KernelGrid` (set by
         #: ``grid_from_network`` on first kernel-engine execution).
         self.kernel_grid = None
@@ -252,6 +245,7 @@ class Network:
         for node in self.nodes.values():
             node.state.clear()
             node._finished = False
+            node._wake = 0
             if seed is not None:
                 node.reseed(seed)
 

@@ -40,7 +40,8 @@ class NodeContext:
         cost of building a large network.
     """
 
-    __slots__ = ("node_id", "weight", "neighbors", "config", "state", "_seed", "_rng", "_finished")
+    __slots__ = ("node_id", "weight", "neighbors", "config", "state",
+                 "_seed", "_rng", "_finished", "_wake")
 
     def __init__(
         self,
@@ -58,6 +59,7 @@ class NodeContext:
         self._seed = seed
         self._rng: random.Random | None = None
         self._finished = False
+        self._wake = 0
 
     @property
     def rng(self) -> random.Random:
@@ -95,6 +97,17 @@ class NodeContext:
         nodes are finished (or the round limit is reached).
         """
         self._finished = True
+
+    def sleep_until(self, wake_round: int) -> None:
+        """Promise that, before round ``wake_round``, calling the algorithm's
+        ``round`` with an *empty* inbox changes no state and sends nothing.
+
+        Mail still wakes the node for the round it arrives in, and a later
+        promise replaces this one.  The batched engine skips the quiet calls;
+        the reference engine and the faulted loop ignore the promise, so the
+        parity grids check that every promise made is sound.
+        """
+        self._wake = wake_round
 
     @property
     def finished(self) -> bool:

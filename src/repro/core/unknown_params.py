@@ -30,7 +30,9 @@ the estimate in force when it is peeled, which is below ``2*(2+eps)*alpha`` --
 at the price of a worst-case ``O(log^2 n / eps)`` orientation stage instead
 of the remark's ``O(log n / eps)``.  The measured approximation factors are
 unaffected, which is what benchmark E7 verifies.  The schedule depends only on
-``(n, eps)``, so each node computes it once per run, at setup.
+``(n, eps)``, so each node computes it once per run, at setup.  Between
+blocks most peel rounds are silent, so nodes sleep through them
+(:meth:`~repro.congest.node.NodeContext.sleep_until`).
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class _InterleavedPrimalDual(SynchronousAlgorithm):
       neighbors are dominated), the *extra step* (an undominated node whose
       packing value exceeds its threshold sends a "selected" message to a
       minimum-weight member of its closed neighborhood, or joins directly if
-      it is itself the minimum), and the packing-value broadcast;
+      it is itself the minimum), and the packing value to every neighbor (a
+      broadcast unless one is selected);
     * **round B** -- process selections, compute ``X_v`` and join the partial
       set when saturated, announce joins;
     * **round C** -- absorb join announcements, apply the ``(1+eps)``
@@ -147,16 +150,18 @@ class _InterleavedPrimalDual(SynchronousAlgorithm):
             self.fallback_setup(node)
         state["iterations_executed"] += 1
 
-        outbox = {neighbor: {"x": state["x"]} for neighbor in node.neighbors}
-        if not state["dominated"] and state["x"] > state["lambda"] * state["tau"]:
+        x = state["x"]
+        if not state["dominated"] and x > state["lambda"] * state["tau"]:
             target = self._cheapest_dominator(node)
             if target == node.node_id:
                 state["in_s_prime"] = True
                 state["dominated"] = True
                 state["announce_join"] = True
             else:
-                outbox[target] = {"x": state["x"], "selected": True}
-        return outbox
+                outbox = {neighbor: {"x": x} for neighbor in node.neighbors}
+                outbox[target] = {"x": x, "selected": True}
+                return outbox
+        return Broadcast({"x": x})
 
     def _round_b(self, node: NodeContext, inbox: Dict[Hashable, dict]) -> Outbox:
         state = node.state
@@ -356,13 +361,18 @@ class UnknownArboricityMDSAlgorithm(_InterleavedPrimalDual):
             # Only an unpeeled node reads peeled_neighbors.
             return None
         self._absorb_peels(node, inbox)
-        estimate = 2 ** (phase_index // state["phases_per_block"])
-        threshold = (2.0 + self.epsilon) * estimate
+        phases_per_block = state["phases_per_block"]
+        block = phase_index // phases_per_block
+        threshold = (2.0 + self.epsilon) * 2**block
         remaining = node.degree - len(state["peeled_neighbors"])
         if remaining <= threshold:
             state["peeled"] = True
             state["out_degree"] = remaining
+            node.sleep_until(state["peel_rounds"] + 1)  # the out-degree exchange
             return Broadcast({"peeled": True})
+        # The threshold rises only at the next block (the last one ends at
+        # peel_rounds + 1); the remaining degree drops only with mail.
+        node.sleep_until(1 + (block + 1) * phases_per_block)
         return None
 
     def _absorb_peels(self, node: NodeContext, inbox: Dict[Hashable, dict]) -> None:

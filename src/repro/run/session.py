@@ -164,7 +164,7 @@ class CompiledGraph:
         ``seed``, which is observationally identical to constructing
         ``Network(graph, alpha=..., config=..., seed=seed, ...)`` afresh --
         minus the per-node construction cost and with the cached adjacency
-        layout (CSR arrays, payload-bit memo) carried over.
+        layout (CSR arrays) carried over.
         """
         key = (
             alpha,

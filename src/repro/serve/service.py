@@ -9,9 +9,9 @@ canonical wire codec and three layers of work avoidance --
    (graph + weights + graph_seed, hashed in canonical wire form) is
    interned in an LRU: requests naming the same graph are rewritten onto
    the one resident source object, so the session's identity-keyed
-   compiled-state cache (network, CSR layout, payload memo, degeneracy
-   bound) hits across requests; evicted entries are invalidated out of the
-   session so memory is bounded by the LRU capacity;
+   compiled-state cache (network, CSR layout, degeneracy bound) hits
+   across requests; evicted entries are invalidated out of the session so
+   memory is bounded by the LRU capacity;
 2. **in-flight deduplication** -- identical requests racing each other
    share one future: the first arrival executes, the rest await the same
    outcome (success *and* failure), so a thundering herd costs one run;

@@ -207,8 +207,8 @@ def test_engines_identical_exhaustive(family_key, algorithm_key, size, seed):
 
 def test_engines_identical_with_type_punned_payloads():
     """Payload values that compare equal but differ in type (1 == 1.0 == True)
-    have different wire-format sizes; the batched engine's bit-estimate memo
-    must not conflate them (regression test)."""
+    have different wire-format sizes; every engine must charge each round's
+    payload by its own type, never by an equal-comparing earlier one."""
     from repro.congest.algorithm import SynchronousAlgorithm
     from repro.congest.message import Broadcast
 

@@ -136,3 +136,25 @@ class TestUnknownArboricity:
             # One call per node at setup, plus one for the run's max_rounds.
             assert len(calls) <= graph.number_of_nodes() + 1, engine
         assert result_bytes(runs["batched"]) == result_bytes(runs["reference"])
+
+    def test_batched_engine_skips_sleeping_peel_rounds(self, monkeypatch):
+        """Peeled nodes and unpeeled ones between blocks sleep: on the batched
+        engine the peel calls only the nodes with mail or a new threshold
+        (about 15,000 calls when every node runs every peel round)."""
+        calls = []
+        peeling_round = UnknownArboricityMDSAlgorithm._peeling_round
+
+        def spy(algorithm, node, phase_index, inbox):
+            calls.append(phase_index)
+            return peeling_round(algorithm, node, phase_index, inbox)
+
+        monkeypatch.setattr(UnknownArboricityMDSAlgorithm, "_peeling_round", spy)
+        graph = random_bounded_arboricity_graph(60, alpha=2, seed=3)
+        runs = {}
+        for engine in ("batched", "reference"):
+            calls.clear()
+            spec = RunSpec(graph=graph, algorithm="unknown-arboricity", seed=3, engine=engine)
+            runs[engine] = execute(spec)
+            if engine == "batched":
+                assert len(calls) < 2000
+        assert result_bytes(runs["batched"]) == result_bytes(runs["reference"])
