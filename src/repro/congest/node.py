@@ -12,8 +12,9 @@ class NodeContext:
     """Everything a node knows locally.
 
     Instances are created by :class:`repro.congest.network.Network`; an
-    algorithm receives them in its ``setup`` and ``round`` methods and stores
-    its per-node variables in :attr:`state`.
+    algorithm receives them in its ``setup`` and ``round`` methods, stores
+    its per-node variables in :attr:`state`, and ends or idles the node with
+    :meth:`finish` and :meth:`sleep_until`.
 
     Attributes
     ----------
