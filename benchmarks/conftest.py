@@ -1,11 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark file regenerates one experiment from DESIGN.md's
-per-experiment index (E1..E10).  Besides the timing numbers collected by
+Every benchmark file regenerates one experiment (E1..E10 reproduce the
+paper's claims).  Besides the timing numbers collected by
 pytest-benchmark, each experiment writes its "paper claim vs measured" table
 to ``benchmarks/results/<experiment>.txt`` so the quantitative outcome is
-inspectable after a plain ``pytest benchmarks/ --benchmark-only`` run; the
-same tables are summarised in EXPERIMENTS.md.
+inspectable after a plain ``pytest benchmarks/ --benchmark-only`` run.
 """
 
 from __future__ import annotations

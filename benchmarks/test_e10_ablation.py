@@ -1,4 +1,4 @@
-"""E10 -- ablations of the design choices called out in DESIGN.md.
+"""E10 -- ablations of the design choices of the Theorem 1.1 algorithm.
 
 Three ablations:
 

@@ -1,10 +1,12 @@
 """The experiment harness used by the benchmarks and the example scripts.
 
-The benchmarks (one per experiment in DESIGN.md's per-experiment index) all
-follow the same shape: build a workload of graph instances, run one or more
-algorithms on each, verify every run, and report "paper claim vs measured"
-rows.  This module centralises the shared pieces so each benchmark file only
-declares *what* to run.
+The benchmarks (one file per experiment under ``benchmarks/``; the paper's
+E1--E10 workloads are the ``E*`` scenarios of
+:mod:`repro.orchestration.scenarios`) all follow the same shape: build a
+workload of graph instances, run one or more algorithms on each, verify
+every run, and report "paper claim vs measured" rows.  This module
+centralises the shared pieces so each benchmark file only declares *what*
+to run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """OPT estimation policy.
 
-Every approximation-ratio measurement needs a denominator.  The policy,
-recorded in DESIGN.md, is:
+Every approximation-ratio measurement needs a denominator.  The policy
+(also summarised in the README, "OPT estimation") is:
 
 * up to :data:`EXACT_THRESHOLD` nodes -- solve the instance exactly with the
   MILP solver, so the reported ratio is the true ratio;
@@ -11,6 +11,8 @@ recorded in DESIGN.md, is:
   guarantees.
 
 The estimate records which of the two was used so tables can annotate it.
+Both solvers are scipy's HiGHS, imported on the first solve (see
+:mod:`repro.baselines.lp`); :func:`degree_lower_bound` needs neither.
 """
 
 from __future__ import annotations

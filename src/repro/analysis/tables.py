@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment results.
 
 The benchmark harness regenerates the paper's quantitative claims as tables
-printed to stdout (and captured into EXPERIMENTS.md).  Rendering is kept
+printed to stdout (and written to ``benchmarks/results/``).  Rendering is kept
 dependency-free: fixed-width columns, one header row, one row per record.
 """
 

@@ -14,7 +14,13 @@ Two relaxations are used throughout the reproduction:
   which is the problem the Theorem 1.4 reduction converts dominating sets
   into.
 
-Both are solved with scipy's HiGHS backend.
+Both are solved with scipy's HiGHS backend, imported on the first solve
+rather than when this module loads.  None of the paper's algorithms solves
+an LP, yet this module is on the import path of every sweep, CLI and serve
+process (through the OPT policy in :mod:`repro.analysis.opt`); a
+module-level import would cost each of them about 40 MiB and half a second.
+:func:`load_lp_solver` imports the stack up front: the sweep runner calls it
+before forking workers that will estimate OPT, so they inherit it.
 """
 
 from __future__ import annotations
@@ -23,16 +29,22 @@ from typing import Dict, Hashable, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import lil_matrix
 
 from repro.graphs.weights import node_weight
 
 __all__ = [
     "fractional_dominating_set_lp",
     "fractional_vertex_cover_lp",
+    "load_lp_solver",
     "lp_dominating_set_lower_bound",
 ]
+
+
+def load_lp_solver() -> None:
+    """Import scipy's LP/MILP stack (``scipy.optimize`` and ``scipy.sparse``)
+    now rather than at the first solve."""
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401
 
 
 def fractional_dominating_set_lp(graph: nx.Graph) -> Tuple[Dict[Hashable, float], float]:
@@ -44,6 +56,9 @@ def fractional_dominating_set_lp(graph: nx.Graph) -> Tuple[Dict[Hashable, float]
     nodes = list(graph.nodes())
     if not nodes:
         return {}, 0.0
+    from scipy.optimize import linprog
+    from scipy.sparse import lil_matrix
+
     index = {node: position for position, node in enumerate(nodes)}
     n = len(nodes)
     weights = np.array([node_weight(graph, node) for node in nodes], dtype=float)
@@ -90,6 +105,9 @@ def fractional_vertex_cover_lp(graph: nx.Graph) -> Tuple[Dict[Hashable, float], 
     n, m = len(nodes), len(edges)
     if m == 0:
         return {node: 0.0 for node in nodes}, 0.0
+    from scipy.optimize import linprog
+    from scipy.sparse import lil_matrix
+
     matrix = lil_matrix((m, n))
     for row, (u, v) in enumerate(edges):
         matrix[row, index[u]] = -1.0

@@ -19,8 +19,7 @@ term in the worst case, typically much less), the self-join suffix is the
 ``O(log(Delta/alpha))`` rounds.  Unweighted only.
 
 Benchmark E8 labels this baseline ``combinatorial-alpha-baseline`` and uses
-it as the stand-in for the combinatorial prior work; EXPERIMENTS.md records
-the substitution.
+it as the stand-in for the combinatorial prior work.
 """
 
 from __future__ import annotations

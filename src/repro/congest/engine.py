@@ -95,7 +95,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple, Type, Union
 
 from repro.congest.algorithm import SynchronousAlgorithm
 from repro.congest.errors import AlgorithmError, BandwidthViolation, NonConvergenceError
-from repro.congest.message import Broadcast, Payload, estimate_payload_bits
+from repro.congest.message import Broadcast, Payload, _payload_bits, word_size_bits
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
 from repro.obs.trace import stamp_round
@@ -185,7 +185,7 @@ class Engine(abc.ABC):
         for context in contexts:
             algorithm.setup(context)
         neighbor_indices: List[List[int]] = layout.neighbor_indices
-        bits_n = max(2, network.n)
+        word = word_size_bits(max(2, network.n))
 
         round_index = 0
         while True:
@@ -223,7 +223,7 @@ class Engine(abc.ABC):
                     if not context.neighbors:
                         continue
                     payload = outbox.payload
-                    bits = estimate_payload_bits(payload, bits_n)
+                    bits = _payload_bits(payload, word)
                     if budget and bits > budget and strict:
                         raise BandwidthViolation(
                             context.node_id,
@@ -250,7 +250,7 @@ class Engine(abc.ABC):
                                 f"node {sender_id!r} attempted to send to "
                                 f"non-neighbor {neighbor!r}"
                             )
-                        bits = estimate_payload_bits(payload, bits_n)
+                        bits = _payload_bits(payload, word)
                         if budget and bits > budget and strict:
                             raise BandwidthViolation(
                                 sender_id, neighbor, bits, budget, round_index=round_index
@@ -320,6 +320,7 @@ class ReferenceEngine(Engine):
             )
         metrics = RunMetrics(bandwidth_budget_bits=budget)
         metrics.engine_used = self.name
+        word = word_size_bits(max(2, network.n))
 
         for node_id in network.node_ids():
             algorithm.setup(network.context(node_id))
@@ -361,7 +362,7 @@ class ReferenceEngine(Engine):
                         raise AlgorithmError(
                             f"node {node_id!r} attempted to send to non-neighbor {neighbor!r}"
                         )
-                    bits = estimate_payload_bits(payload, max(2, network.n))
+                    bits = _payload_bits(payload, word)
                     if budget and bits > budget:
                         if strict:
                             raise BandwidthViolation(
@@ -445,7 +446,7 @@ class BatchedEngine(Engine):
         # identical inbox key sequence.
         sorted_neighbors: List[List[Hashable]] = layout.sorted_neighbor_ids
 
-        bits_n = max(2, network.n)
+        word = word_size_bits(max(2, network.n))
 
         # Send buffers of the previous round: broadcast payload per sender id,
         # and explicit receiver->payload maps for unicast senders.  When the
@@ -528,7 +529,7 @@ class BatchedEngine(Engine):
                         # nor budget-checks a broadcast from an isolated node.
                         continue
                     payload = outbox.payload
-                    bits = estimate_payload_bits(payload, bits_n)
+                    bits = _payload_bits(payload, word)
                     if budget and bits > budget and strict:
                         # The reference engine raises at the first delivery,
                         # which for a broadcast is the first listed neighbor.
@@ -551,7 +552,7 @@ class BatchedEngine(Engine):
                                 f"node {sender_id!r} attempted to send to "
                                 f"non-neighbor {neighbor!r}"
                             )
-                        bits = estimate_payload_bits(payload, bits_n)
+                        bits = _payload_bits(payload, word)
                         if budget and bits > budget and strict:
                             raise BandwidthViolation(
                                 sender_id, neighbor, bits, budget, round_index=round_index

@@ -49,7 +49,13 @@ def estimate_payload_bits(payload: Payload, n: int) -> int:
     * ``str``: 6 bits per character (field names are not counted; a real
       implementation would fix the message format statically).
     """
-    word = word_size_bits(n)
+    return _payload_bits(payload, word_size_bits(n))
+
+
+def _payload_bits(payload: Payload, word: int) -> int:
+    """:func:`estimate_payload_bits` with the identifier width ``word``
+    already computed: the engines send every message of a run under one
+    ``n``, so they compute ``word_size_bits(n)`` once per run."""
     bits = 0
     for value in payload.values():
         if value is None or isinstance(value, bool):

@@ -15,7 +15,8 @@ much weaker and fully checkable:
   ``OPT_MFVC >= m / Delta >= n / Delta``).
 
 This module therefore generates laptop-scale *stand-ins* with exactly those
-certified properties -- a documented substitution recorded in DESIGN.md:
+certified properties -- a deliberate substitution, since the reduction
+consumes nothing else:
 
 * :func:`bipartite_regular_base_graph` -- a random bipartite (near-)regular
   graph built by a union of perfect matchings, mirroring the KMW graphs'

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.experiments import ExperimentRecord
+from repro.baselines.lp import load_lp_solver
 from repro.congest.engine import get_default_engine, set_default_engine
 from repro.orchestration.cache import ResultCache, cache_key, record_from_dict, record_to_dict
 from repro.orchestration.governor import SweepBudget, SweepGovernor
@@ -368,6 +369,13 @@ def _accepts_tracer(spec) -> bool:
     return _accepts_keyword(spec, "tracer")
 
 
+def _needs_lp_solver(spec) -> bool:
+    """Whether running ``spec`` estimates OPT with scipy's MILP or LP solver:
+    every OPT mode but the free counting bound (``opt_mode="degree"``).
+    Duck-typed specs without an ``opt_mode`` are not assumed to."""
+    return getattr(spec, "opt_mode", "degree") != "degree"
+
+
 def _execute_cell_job(job) -> Dict[str, object]:
     """Picklable single-argument adapter over :func:`_execute_cell`."""
     spec, seed, engine, default_engine, trace_path, shards = job
@@ -482,6 +490,7 @@ class SweepRunner:
             )
             for cell in misses
         ]
+        self._load_solver_before_fork(misses)
         miss_stream = pool_map_ordered(_execute_cell_job, jobs, self.workers)
         try:
             for cell in cells:
@@ -619,6 +628,7 @@ class SweepRunner:
         # the telemetry feedback loop -- enough to keep every worker busy,
         # small enough that budget overshoot stays a handful of cells.
         window = max(2, 2 * self.workers)
+        self._load_solver_before_fork(misses)
         miss_stream = pool_map_ordered(
             _execute_cell_job, admitted_jobs(), self.workers, window=window
         )
@@ -686,6 +696,19 @@ class SweepRunner:
                 skipped=reason,
                 skip_reason="budget",
             )
+
+    def _load_solver_before_fork(self, misses: Sequence[SweepCell]) -> None:
+        """Import the LP/MILP stack in this process before a pool starts,
+        when a cell about to execute estimates OPT with it.
+
+        Forked workers then inherit the loaded modules instead of each
+        importing them again (about half a second of CPU per worker per
+        pool).  Degree-OPT sweeps and inline (``workers=1``) sweeps never
+        load it here; an inline cell that needs it imports it on its first
+        solve.
+        """
+        if self.workers > 1 and any(_needs_lp_solver(self._spec(cell)) for cell in misses):
+            load_lp_solver()
 
     def budget_summary(self) -> Optional[str]:
         """The last governed run's one-line budget summary (``None`` when

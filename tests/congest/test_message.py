@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.congest.message import Broadcast, estimate_payload_bits, word_size_bits
+from repro.congest.message import (
+    Broadcast,
+    _payload_bits,
+    estimate_payload_bits,
+    word_size_bits,
+)
 
 
 class TestWordSize:
@@ -44,6 +49,23 @@ class TestPayloadBits:
 
     def test_empty_payload_is_free(self):
         assert estimate_payload_bits({}, 100) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000, 10 ** 6])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"flag": False},
+            {"nothing": None},
+            {"value": -7, "big": 2 ** 40},
+            {"x": 0.25, "y": -3.5},
+            {"s": "abc"},
+            {"flag": True, "nothing": None, "value": 7, "x": 0.25, "s": "ab"},
+        ],
+    )
+    def test_precomputed_word_matches_public_estimate(self, payload, n):
+        # The engines compute the identifier width once per run and call
+        # the private form; both must account every payload identically.
+        assert _payload_bits(payload, word_size_bits(n)) == estimate_payload_bits(payload, n)
 
 
 class TestBroadcast:
