@@ -369,13 +369,6 @@ def _accepts_tracer(spec) -> bool:
     return _accepts_keyword(spec, "tracer")
 
 
-def _needs_lp_solver(spec) -> bool:
-    """Whether running ``spec`` estimates OPT with scipy's MILP or LP solver:
-    every OPT mode but the free counting bound (``opt_mode="degree"``).
-    Duck-typed specs without an ``opt_mode`` are not assumed to."""
-    return getattr(spec, "opt_mode", "degree") != "degree"
-
-
 def _execute_cell_job(job) -> Dict[str, object]:
     """Picklable single-argument adapter over :func:`_execute_cell`."""
     spec, seed, engine, default_engine, trace_path, shards = job
@@ -699,15 +692,18 @@ class SweepRunner:
 
     def _load_solver_before_fork(self, misses: Sequence[SweepCell]) -> None:
         """Import the LP/MILP stack in this process before a pool starts,
-        when a cell about to execute estimates OPT with it.
+        when a cell about to execute estimates OPT with it: every OPT mode
+        but the free counting bound (``opt_mode="degree"``).
 
         Forked workers then inherit the loaded modules instead of each
         importing them again (about half a second of CPU per worker per
-        pool).  Degree-OPT sweeps and inline (``workers=1``) sweeps never
-        load it here; an inline cell that needs it imports it on its first
-        solve.
+        pool).  Degree-OPT sweeps, inline (``workers=1``) sweeps and
+        duck-typed specs without an ``opt_mode`` never load it here; a cell
+        that needs it imports it on its first solve.
         """
-        if self.workers > 1 and any(_needs_lp_solver(self._spec(cell)) for cell in misses):
+        if self.workers > 1 and any(
+            getattr(self._spec(cell), "opt_mode", "degree") != "degree" for cell in misses
+        ):
             load_lp_solver()
 
     def budget_summary(self) -> Optional[str]:
