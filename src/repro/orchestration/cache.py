@@ -28,7 +28,7 @@ import os
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import repro
 from repro.analysis.experiments import ExperimentRecord
@@ -53,6 +53,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 CACHE_SCHEMA_VERSION = 1
 
 _RECORD_FIELDS = [f.name for f in fields(ExperimentRecord)]
+
+T = TypeVar("T")
+
+#: A record entry as :meth:`ResultCache.get_entry` returns it: ``(records, meta)``.
+CacheEntry = Tuple[List[ExperimentRecord], Dict[str, object]]
 
 _code_version: Optional[str] = None
 
@@ -153,9 +158,7 @@ class ResultCache:
         entry = self.get_entry(key)
         return None if entry is None else entry[0]
 
-    def get_entry(
-        self, key: str
-    ) -> Optional[Tuple[List[ExperimentRecord], Dict[str, object]]]:
+    def get_entry(self, key: str) -> Optional[CacheEntry]:
         """Return ``(records, meta)`` for ``key``, or ``None`` on a miss.
 
         ``meta`` is the sidecar dict :meth:`put` stored alongside the
@@ -163,18 +166,7 @@ class ResultCache:
         there (``elapsed_s``, ``maxrss_kb``) so cache hits can still
         report how long the cell originally took to compute.
         """
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text())
-            records = [record_from_dict(entry) for entry in payload["records"]]
-            meta = payload.get("meta") or {}
-            if not isinstance(meta, dict):
-                raise TypeError("meta entry is not an object")
-        except (OSError, ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return records, meta
+        return self._read(key, _records_entry)
 
     def put(
         self,
@@ -183,26 +175,7 @@ class ResultCache:
         meta: Optional[Dict[str, object]] = None,
     ) -> Path:
         """Store ``records`` under ``key`` atomically; returns the entry path."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "meta": dict(meta or {}),
-            "records": [record_to_dict(record) for record in records],
-        }
-        handle, temp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream, sort_keys=True)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.writes += 1
-        return path
+        return self._write(key, meta, records=[record_to_dict(record) for record in records])
 
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """Return a generic JSON payload stored under ``key``, or ``None``.
@@ -214,16 +187,7 @@ class ResultCache:
         The two entry shapes never collide: their keys hash different
         coordinate tuples.
         """
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text())["payload"]
-            if not isinstance(payload, dict):
-                raise TypeError("payload entry is not an object")
-        except (OSError, ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return payload
+        return self._read(key, lambda entry: _json_object(entry["payload"], "payload"))
 
     def put_payload(
         self,
@@ -232,13 +196,25 @@ class ResultCache:
         meta: Optional[Dict[str, object]] = None,
     ) -> Path:
         """Store a generic JSON payload under ``key`` atomically."""
+        return self._write(key, meta, payload=payload)
+
+    def _read(self, key: str, parse: Callable[[Dict[str, object]], T]) -> Optional[T]:
+        """``parse`` the entry under ``key``; an absent, unreadable or
+        malformed entry counts as a miss and returns ``None``."""
+        try:
+            value = parse(json.loads(self.path_for(key).read_text()))
+        except (OSError, ValueError, KeyError, TypeError):
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        return value
+
+    def _write(self, key: str, meta: Optional[Dict[str, object]], **body: object) -> Path:
+        """Write ``body`` plus the schema and ``meta`` under ``key``
+        atomically (temp file + :func:`os.replace`); returns the path."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "meta": dict(meta or {}),
-            "payload": payload,
-        }
+        entry = {"schema": CACHE_SCHEMA_VERSION, "meta": dict(meta or {}), **body}
         handle, temp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(handle, "w") as stream:
@@ -270,3 +246,14 @@ class ResultCache:
             entry.unlink()
             removed += 1
         return removed
+
+
+def _json_object(value: object, what: str) -> Dict[str, object]:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} entry is not an object")
+    return value
+
+
+def _records_entry(entry: Dict[str, object]) -> CacheEntry:
+    records = [record_from_dict(record) for record in entry["records"]]
+    return records, _json_object(entry.get("meta") or {}, "meta")

@@ -33,8 +33,8 @@ later, bigger-budget sweep re-runs them.
 Two hard rules keep the governor honest:
 
 * **An absent budget is absent.**  A :class:`SweepRunner` with no (or an
-  unbounded) budget takes the exact pre-governor code path; its output is
-  byte-identical to today's, ordering included.
+  unbounded) budget is ungoverned: it yields the same records, cache bytes
+  and cell order as one that never heard of budgets.
 * **Cached memory telemetry is advisory.**  ``maxrss_kb`` written by older
   code could carry the *coordinator's* copy-on-write footprint rather than
   the cell's own (see :class:`repro.obs.metrics.PeakRssMeter`); cached
@@ -75,7 +75,8 @@ class SweepBudget:
     Every field is optional; ``None`` means unlimited.  A budget with every
     field ``None`` is *unbounded* and must behave exactly like no budget at
     all -- :class:`~repro.orchestration.runner.SweepRunner` checks
-    :attr:`bounded` and keeps the ungoverned code path in that case.
+    :attr:`bounded` and runs ungoverned in that case (same records, bytes
+    and order as with no budget).
 
     Attributes
     ----------

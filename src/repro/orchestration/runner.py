@@ -22,6 +22,7 @@ cells -- ``tests/orchestration/test_runner.py`` enforces exactly that.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,13 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tu
 from repro.analysis.experiments import ExperimentRecord
 from repro.baselines.lp import load_lp_solver
 from repro.congest.engine import get_default_engine, set_default_engine
-from repro.orchestration.cache import ResultCache, cache_key, record_from_dict, record_to_dict
+from repro.orchestration.cache import (
+    CacheEntry,
+    ResultCache,
+    cache_key,
+    record_from_dict,
+    record_to_dict,
+)
 from repro.orchestration.governor import SweepBudget, SweepGovernor
 
 __all__ = [
@@ -177,68 +184,32 @@ def pool_map_ordered(
     once the pool overlaps work, the wait observed at the consumer is the
     only meaningful per-job cost.
 
-    ``window=None`` (the default) materialises ``jobs`` and submits every
-    one upfront.  A positive ``window`` instead pulls jobs **lazily** from
-    the iterable, keeping at most ``window`` in flight: the next job is
-    drawn only after a result has been yielded (and the consumer resumed),
-    so a job *source* that decides work adaptively -- the budget governor's
-    cell stream -- observes each completion before committing to the next
-    submission.  Both modes preserve submission-order streaming and the
-    early-close semantics: an abandoned stream cancels queued futures and
-    returns without waiting.
+    ``window`` caps how many jobs are in flight; ``None`` (the default)
+    means all of them, so every job is submitted upfront.  Jobs are drawn
+    from the iterable **lazily**: the in-flight deque is topped up only
+    after a yield resumes, never during the consumer's pause, so a job
+    *source* that decides work adaptively -- the budget governor's cell
+    stream -- observes each completion before committing to the next
+    submission.  An abandoned stream cancels queued futures and returns
+    without waiting.
 
     ``fn`` must be a module-level callable and each job a picklable value.
     This is the worker machinery shared by :class:`SweepRunner` and
     :meth:`repro.run.Session.run_many`.
     """
-    if window is not None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        yield from _pool_map_windowed(fn, iter(jobs), workers, window)
-        return
-    jobs = list(jobs)
+    if window is None:
+        jobs = list(jobs)
+        window = len(jobs)
+    elif window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    jobs = iter(jobs)
     pool = None
-    if workers > 1 and len(jobs) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
-    exhausted = False
-    try:
-        futures = [pool.submit(fn, job) for job in jobs] if pool is not None else None
-        for index, job in enumerate(jobs):
-            start = time.perf_counter()
-            result = futures[index].result() if futures is not None else fn(job)
-            yield result, time.perf_counter() - start
-        exhausted = True
-    finally:
-        if pool is not None:
-            # An abandoned stream (consumer broke out early / GC closed the
-            # generator) must not block on jobs nobody will read: drop the
-            # queued ones and return without waiting.  A fully consumed
-            # stream has nothing pending, so the ordinary waiting shutdown
-            # keeps its prompt-cleanup semantics.
-            pool.shutdown(wait=exhausted, cancel_futures=not exhausted)
-
-
-def _pool_map_windowed(
-    fn, jobs: Iterator, workers: int, window: int
-) -> Iterator[Tuple[object, float]]:
-    """The bounded-in-flight arm of :func:`pool_map_ordered`.
-
-    ``jobs`` is consumed lazily: the in-flight deque is topped up to
-    ``window`` entries only after each yield resumes, never during the
-    consumer's pause, so an adaptive job source sees every completion the
-    consumer has processed before it is asked for more work.
-    """
-    pool = ProcessPoolExecutor(max_workers=min(workers, window)) if (
-        workers > 1 and window > 1
-    ) else None
+    if workers > 1 and window > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, window))
     in_flight: deque = deque()
 
     def top_up() -> None:
-        while len(in_flight) < window:
-            try:
-                job = next(jobs)
-            except StopIteration:
-                return
+        for job in itertools.islice(jobs, window - len(in_flight)):
             in_flight.append(pool.submit(fn, job) if pool is not None else job)
 
     exhausted = False
@@ -253,8 +224,11 @@ def _pool_map_windowed(
         exhausted = True
     finally:
         if pool is not None:
-            # Same abandoned-stream contract as the upfront arm: drop queued
-            # futures and return without waiting when the consumer bails.
+            # An abandoned stream (consumer broke out early / GC closed the
+            # generator) must not block on jobs nobody will read: drop the
+            # queued ones and return without waiting.  A fully consumed
+            # stream has nothing pending, so the ordinary waiting shutdown
+            # keeps its prompt-cleanup semantics.
             pool.shutdown(wait=exhausted, cancel_futures=not exhausted)
 
 
@@ -401,8 +375,8 @@ class SweepRunner:
         :class:`~repro.orchestration.governor.SweepGovernor` schedules the
         cache misses adaptively under the declared limits; cells it refuses
         surface as ``skip_reason == "budget"`` results and are never
-        cached.  ``None`` (or an unbounded budget) takes the exact
-        ungoverned code path -- byte-identical output, ordering included.
+        cached.  ``None`` (or an unbounded budget) runs ungoverned: same
+        records, bytes and order as with no budget.
     """
 
     cache: Optional[ResultCache] = None
@@ -443,114 +417,34 @@ class SweepRunner:
         :class:`~repro.orchestration.governor.SweepGovernor`: hits come
         first (they are free), fresh results follow in the governor's
         adaptive order, and budget-refused cells trail as explicit skipped
-        results.  Without one, this is the exact historical code path.
+        results.  A budget changes scheduling only: every cell it admits
+        yields the same records and cache entry as with no budget.
         """
-        if self.budget is not None and self.budget.bounded:
-            yield from self._run_cells_governed(cells)
-            return
-        lookups: Dict[SweepCell, Optional[Tuple[List[ExperimentRecord], Dict[str, object]]]] = {}
-        for cell in cells:
-            key, _ = self._cell_key(cell)
-            lookups[cell] = (
-                self.cache.get_entry(key)
-                if self.cache is not None and not self.refresh
-                else None
-            )
-
-        # Captured once at submission time and shipped to every worker:
-        # workers must not rely on spawn-time (or fork-time) module state for
-        # the process-wide default engine.
+        hits = {cell: self._lookup(cell) for cell in cells}
+        misses = [cell for cell in cells if hits[cell] is None]
+        # Captured once and shipped to every worker: workers must not rely
+        # on spawn-time (or fork-time) module state for the process-wide
+        # default engine.
         default_engine = get_default_engine()
-
-        misses = [cell for cell in cells if lookups[cell] is None]
-        # Each invocation owns its trace files: start every target fresh
-        # before anything executes.  Run ids are only unique per process, so
-        # appending a re-run (new process, ids restart at 0) into a stale
-        # file would collide; cells sharing one explicit --trace file still
-        # accumulate, because truncation happens once, up front.
-        for path in {self._trace_path(cell) for cell in misses} - {None}:
-            target = Path(path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text("")
-        jobs = [
-            (
-                self._spec(cell),
-                cell.seed,
-                cell.engine,
-                default_engine,
-                self._trace_path(cell),
-                self.shards,
-            )
-            for cell in misses
-        ]
         self._load_solver_before_fork(misses)
-        miss_stream = pool_map_ordered(_execute_cell_job, jobs, self.workers)
+        if self.budget is not None and self.budget.bounded:
+            yield from self._run_governed(cells, hits, misses, default_engine)
+            return
+        fresh = self._execute(misses, default_engine)
         try:
             for cell in cells:
-                key, spec_hash = self._cell_key(cell)
-                cached = lookups[cell]
-                if cached is not None:
-                    records, meta = cached
-                    yield CellResult(
-                        cell=cell,
-                        records=records,
-                        from_cache=True,
-                        duration_s=0.0,
-                        key=key,
-                        spec_hash=spec_hash,
-                        elapsed_s=float(meta.get("elapsed_s", 0.0)),
-                        maxrss_kb=int(meta.get("maxrss_kb", 0)),
-                        bits=int(meta.get("bits", 0)),
-                    )
-                    continue
-                payload, duration = next(miss_stream)
-                if "skipped" in payload:
-                    # Capability-skip marker: surface it, never cache it.
-                    cell_key = payload.get("cell")
-                    yield CellResult(
-                        cell=cell,
-                        records=[],
-                        from_cache=False,
-                        duration_s=duration,
-                        key=key,
-                        spec_hash=spec_hash,
-                        skipped=payload["skipped"],
-                        skipped_cell=None if cell_key is None else tuple(cell_key),
-                    )
-                    continue
-                records = [record_from_dict(entry) for entry in payload["records"]]
-                elapsed_s = float(payload.get("elapsed_s", duration))
-                maxrss_kb = int(payload.get("maxrss_kb", 0))
-                bits = sum(record.total_bits for record in records)
-                if self.cache is not None:
-                    self.cache.put(
-                        key,
-                        records,
-                        meta={
-                            "scenario": cell.scenario,
-                            "seed": cell.seed,
-                            "engine": cell.engine,
-                            "spec_hash": spec_hash,
-                            "elapsed_s": elapsed_s,
-                            "maxrss_kb": maxrss_kb,
-                            "bits": bits,
-                        },
-                    )
-                yield CellResult(
-                    cell=cell,
-                    records=records,
-                    from_cache=False,
-                    duration_s=duration,
-                    key=key,
-                    spec_hash=spec_hash,
-                    elapsed_s=elapsed_s,
-                    maxrss_kb=maxrss_kb,
-                    bits=bits,
-                )
+                entry = hits[cell]
+                yield next(fresh) if entry is None else self._hit_result(cell, entry)
         finally:
-            miss_stream.close()
+            fresh.close()
 
-    def _run_cells_governed(self, cells: Sequence[SweepCell]) -> Iterator[CellResult]:
+    def _run_governed(
+        self,
+        cells: Sequence[SweepCell],
+        hits: Dict[SweepCell, Optional[CacheEntry]],
+        misses: List[SweepCell],
+        default_engine: Optional[str],
+    ) -> Iterator[CellResult]:
         """The bounded-budget arm of :meth:`run_cells`.
 
         Cache hits stream first, in the given order -- they spend nothing,
@@ -562,133 +456,148 @@ class SweepRunner:
         Budget-refused cells trail the stream as explicit ``skip_reason ==
         "budget"`` results and are never written to the cache.
         """
-        governor = SweepGovernor(self.budget, workers=self.workers)
-        self._governor = governor
-
-        lookups: Dict[SweepCell, Optional[Tuple[List[ExperimentRecord], Dict[str, object]]]] = {}
+        governor = self._governor = SweepGovernor(self.budget, workers=self.workers)
         for cell in cells:
-            key, _ = self._cell_key(cell)
-            lookups[cell] = (
-                self.cache.get_entry(key)
-                if self.cache is not None and not self.refresh
-                else None
-            )
-        default_engine = get_default_engine()
-        misses = [cell for cell in cells if lookups[cell] is None]
-        for path in {self._trace_path(cell) for cell in misses} - {None}:
-            target = Path(path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text("")
-
-        for cell in cells:
-            cached = lookups[cell]
-            if cached is None:
-                continue
-            key, spec_hash = self._cell_key(cell)
-            records, meta = cached
-            governor.seed(cell, meta)
-            yield CellResult(
-                cell=cell,
-                records=records,
-                from_cache=True,
-                duration_s=0.0,
-                key=key,
-                spec_hash=spec_hash,
-                elapsed_s=float(meta.get("elapsed_s", 0.0)),
-                maxrss_kb=int(meta.get("maxrss_kb", 0)),
-                bits=int(meta.get("bits", 0)),
-            )
-
+            if hits[cell] is not None:
+                governor.seed(cell, hits[cell][1])
+                yield self._hit_result(cell, hits[cell])
         governor.schedule(misses)
-        submitted: Deque[SweepCell] = deque()
+        # The window bounds how many admissions can be in flight ahead of
+        # the telemetry feedback loop -- enough to keep every worker busy,
+        # small enough that budget overshoot stays a handful of cells.
+        window = max(2, 2 * self.workers)
+        fresh = self._execute(iter(governor.next_cell, None), default_engine, window)
+        try:
+            for result in fresh:
+                if result.skipped is None:
+                    governor.observe(
+                        result.cell,
+                        elapsed_s=result.elapsed_s,
+                        maxrss_kb=result.maxrss_kb,
+                        bits=result.bits,
+                    )
+                yield result
+        finally:
+            fresh.close()
+        for cell, reason in governor.drain_skips():
+            yield self._result(cell, [], 0.0, skipped=reason, skip_reason="budget")
 
-        def admitted_jobs() -> Iterator[Tuple]:
-            while True:
-                cell = governor.next_cell()
-                if cell is None:
-                    return
+    def _lookup(self, cell: SweepCell) -> Optional[CacheEntry]:
+        """The cell's cache entry ``(records, meta)``, or ``None`` to execute."""
+        if self.cache is None or self.refresh:
+            return None
+        return self.cache.get_entry(self._cell_key(cell)[0])
+
+    def _result(
+        self,
+        cell: SweepCell,
+        records: List[ExperimentRecord],
+        duration_s: float,
+        from_cache: bool = False,
+        **fields,
+    ) -> CellResult:
+        key, spec_hash = self._cell_key(cell)
+        return CellResult(
+            cell=cell,
+            records=records,
+            from_cache=from_cache,
+            duration_s=duration_s,
+            key=key,
+            spec_hash=spec_hash,
+            **fields,
+        )
+
+    def _hit_result(self, cell: SweepCell, entry: CacheEntry) -> CellResult:
+        records, meta = entry
+        return self._result(
+            cell,
+            records,
+            0.0,
+            from_cache=True,
+            elapsed_s=float(meta.get("elapsed_s", 0.0)),
+            maxrss_kb=int(meta.get("maxrss_kb", 0)),
+            bits=int(meta.get("bits", 0)),
+        )
+
+    def _execute(
+        self,
+        cells: Iterable[SweepCell],
+        default_engine: Optional[str],
+        window: Optional[int] = None,
+    ) -> Iterator[CellResult]:
+        """Execute ``cells`` through :func:`pool_map_ordered`, yielding one
+        fresh :class:`CellResult` per cell in submission order and writing
+        each completed cell to the cache before it is yielded.
+
+        ``cells`` is drawn lazily, one submission at a time, so a trace
+        file is reset only when the first cell writing to it is submitted:
+        a refused cell leaves no file behind, and cells sharing one
+        explicit ``--trace`` file accumulate into it.  Each invocation owns
+        its trace files -- run ids are only unique per process, so
+        appending a re-run into a stale file would collide.
+        """
+        submitted: Deque[SweepCell] = deque()
+        reset: set = set()
+
+        def jobs() -> Iterator[Tuple]:
+            for cell in cells:
+                trace_path = self._trace_path(cell)
+                if trace_path is not None and trace_path not in reset:
+                    reset.add(trace_path)
+                    target = Path(trace_path)
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    target.write_text("")
                 submitted.append(cell)
                 yield (
                     self._spec(cell),
                     cell.seed,
                     cell.engine,
                     default_engine,
-                    self._trace_path(cell),
+                    trace_path,
                     self.shards,
                 )
 
-        # The window bounds how many admissions can be in flight ahead of
-        # the telemetry feedback loop -- enough to keep every worker busy,
-        # small enough that budget overshoot stays a handful of cells.
-        window = max(2, 2 * self.workers)
-        self._load_solver_before_fork(misses)
-        miss_stream = pool_map_ordered(
-            _execute_cell_job, admitted_jobs(), self.workers, window=window
-        )
+        stream = pool_map_ordered(_execute_cell_job, jobs(), self.workers, window=window)
         try:
-            for payload, duration in miss_stream:
+            for payload, duration in stream:
                 cell = submitted.popleft()
-                key, spec_hash = self._cell_key(cell)
                 if "skipped" in payload:
+                    # Capability-skip marker: surface it, never cache it.
                     cell_key = payload.get("cell")
-                    yield CellResult(
-                        cell=cell,
-                        records=[],
-                        from_cache=False,
-                        duration_s=duration,
-                        key=key,
-                        spec_hash=spec_hash,
+                    yield self._result(
+                        cell,
+                        [],
+                        duration,
                         skipped=payload["skipped"],
                         skipped_cell=None if cell_key is None else tuple(cell_key),
                     )
                     continue
                 records = [record_from_dict(entry) for entry in payload["records"]]
-                elapsed_s = float(payload.get("elapsed_s", duration))
-                maxrss_kb = int(payload.get("maxrss_kb", 0))
-                bits = sum(record.total_bits for record in records)
+                result = self._result(
+                    cell,
+                    records,
+                    duration,
+                    elapsed_s=float(payload.get("elapsed_s", duration)),
+                    maxrss_kb=int(payload.get("maxrss_kb", 0)),
+                    bits=sum(record.total_bits for record in records),
+                )
                 if self.cache is not None:
                     self.cache.put(
-                        key,
+                        result.key,
                         records,
                         meta={
                             "scenario": cell.scenario,
                             "seed": cell.seed,
                             "engine": cell.engine,
-                            "spec_hash": spec_hash,
-                            "elapsed_s": elapsed_s,
-                            "maxrss_kb": maxrss_kb,
-                            "bits": bits,
+                            "spec_hash": result.spec_hash,
+                            "elapsed_s": result.elapsed_s,
+                            "maxrss_kb": result.maxrss_kb,
+                            "bits": result.bits,
                         },
                     )
-                governor.observe(
-                    cell, elapsed_s=elapsed_s, maxrss_kb=maxrss_kb, bits=bits
-                )
-                yield CellResult(
-                    cell=cell,
-                    records=records,
-                    from_cache=False,
-                    duration_s=duration,
-                    key=key,
-                    spec_hash=spec_hash,
-                    elapsed_s=elapsed_s,
-                    maxrss_kb=maxrss_kb,
-                    bits=bits,
-                )
+                yield result
         finally:
-            miss_stream.close()
-
-        for cell, reason in governor.drain_skips():
-            key, spec_hash = self._cell_key(cell)
-            yield CellResult(
-                cell=cell,
-                records=[],
-                from_cache=False,
-                duration_s=0.0,
-                key=key,
-                spec_hash=spec_hash,
-                skipped=reason,
-                skip_reason="budget",
-            )
+            stream.close()
 
     def _load_solver_before_fork(self, misses: Sequence[SweepCell]) -> None:
         """Import the LP/MILP stack in this process before a pool starts,

@@ -2,8 +2,8 @@
 
 A one-shot execution rebuilds everything per call: the degeneracy bound,
 the :class:`~repro.congest.network.Network` (one ``NodeContext`` per node),
-the engines' CSR adjacency layout, the payload-bit memo and -- under a
-fault model -- the fault session's per-edge arrays.  A :class:`Session`
+the engines' CSR adjacency layout and -- under a fault model -- the fault
+session's per-edge arrays.  A :class:`Session`
 builds each of those exactly once per graph and reuses them across every
 run that shares the graph, whatever the seed, algorithm or fault model:
 
@@ -15,9 +15,9 @@ run that shares the graph, whatever the seed, algorithm or fault model:
   :meth:`Network.reset` rewinds every node's private random stream to the
   run's seed), producing executions byte-identical to a freshly built
   network;
-* **adjacency + memo reuse** -- the engines and the fault runtime read the
+* **adjacency reuse** -- the engines and the fault runtime read the
   network's cached :class:`~repro.congest.network.NetworkLayout` (CSR
-  arrays, degree vector, payload-bit memo), so none of it is rebuilt;
+  arrays, degree vector), so none of it is rebuilt;
 * **fault plans** -- a :class:`~repro.faults.spec.FaultSpec` (or named
   model) is materialised once per ``(regime, seed)``; the most recent
   plans are cached.
@@ -239,10 +239,7 @@ class Session:
         this session (overridable per call via ``run(spec, tracer=...)``).
         With no tracer (or a disabled one) every execution takes the exact
         untraced code path -- the zero-overhead-when-off contract gated by
-        the E17 benchmark; with a tracer, network runs are routed through
-        the hooked round loop under an empty fault plan (byte-identical by
-        the zero-fault parity guarantee) so round timestamps can be
-        captured on the reference, batched and kernel engines.
+        the E17 benchmark.
 
     Usable as a context manager (``with Session() as session: ...``); exit
     drops the compiled-state cache.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,7 @@ from repro.orchestration.governor import (
     SweepGovernor,
 )
 from repro.orchestration.runner import SweepBudget as ReexportedBudget
-from repro.orchestration.runner import SweepCell, SweepRunner, aggregate_skips
+from repro.orchestration.runner import SweepCell, SweepRunner, aggregate_skips, expand_cells
 from repro.orchestration.scenarios import register_builtin_scenarios
 
 
@@ -273,3 +275,40 @@ class TestGovernedRunner:
             cache=cache, budget=SweepBudget(seconds=600)
         ).sweep(["smoke/forest"], seeds=[0])
         assert hit.from_cache and hit.bits == result.bits
+
+    def test_refused_cells_leave_no_trace_files(self, tmp_path):
+        trace_dir = tmp_path / "traces"
+        runner = SweepRunner(trace_dir=trace_dir, budget=SweepBudget(seconds=1e-9))
+        results = runner.sweep(self.SCENARIOS, seeds=self.SEEDS)
+        assert any(r.skipped is not None for r in results), "a 1ns budget must refuse cells"
+        written = {path.name for path in trace_dir.glob("*.jsonl")}
+        executed = {
+            f"{r.scenario.replace('/', '-')}__seed{r.seed}__{r.engine}.jsonl"
+            for r in results
+            if r.skipped is None
+        }
+        assert written == executed
+
+    def test_pooled_governed_sweep_matches_pooled_ungoverned(self, tmp_path):
+        cells = expand_cells(self.SCENARIOS, self.SEEDS)
+        warm = [cells[1], cells[4]]
+        plain_cache = ResultCache(tmp_path / "plain")
+        plain = list(SweepRunner(cache=plain_cache, workers=2).run_cells(cells))
+        governed_cache = ResultCache(tmp_path / "governed")
+        list(SweepRunner(cache=governed_cache, workers=2).run_cells(warm))
+        runner = SweepRunner(cache=governed_cache, workers=2, budget=SweepBudget(seconds=600))
+        governed = list(runner.run_cells(cells))
+
+        # Hits stream first in the given order, then the fresh cells.
+        fresh = [c for c in cells if c not in warm]
+        assert [r.cell for r in governed] == warm + fresh
+        assert [r.from_cache for r in governed] == [True] * len(warm) + [False] * len(fresh)
+        assert f"{len(fresh)} admitted" in runner.budget_summary()
+
+        expected = {r.cell: records_to_bytes(r.records) for r in plain}
+        assert {r.cell: records_to_bytes(r.records) for r in governed} == expected
+        for result in governed:
+            plain_entry = json.loads(plain_cache.path_for(result.key).read_text())
+            governed_entry = json.loads(governed_cache.path_for(result.key).read_text())
+            assert plain_entry["meta"].keys() == governed_entry["meta"].keys()
+            assert json.dumps(plain_entry["records"]) == json.dumps(governed_entry["records"])

@@ -142,19 +142,47 @@ def _pool_sleep(job):
     return job
 
 
+#: ``None`` submits every job upfront; 1 and 2 cap the jobs in flight.
+WINDOWS = [None, 1, 2]
+
+
 class TestPoolMapOrdered:
-    def test_inline_and_pooled_yield_in_submission_order(self):
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_inline_and_pooled_yield_in_submission_order(self, window):
         jobs = [3, 1, 2, 0]
-        inline = [result for result, _ in pool_map_ordered(_pool_square, jobs, workers=1)]
-        pooled = [result for result, _ in pool_map_ordered(_pool_square, jobs, workers=2)]
+        inline = [r for r, _ in pool_map_ordered(_pool_square, jobs, workers=1, window=window)]
+        pooled = [r for r, _ in pool_map_ordered(_pool_square, jobs, workers=2, window=window)]
         assert inline == pooled == [9, 1, 4, 0]
 
-    def test_durations_are_reported(self):
-        [(result, duration)] = list(pool_map_ordered(_pool_square, [5], workers=4))
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_durations_are_reported(self, window):
+        [(result, duration)] = list(pool_map_ordered(_pool_square, [5], workers=4, window=window))
         assert result == 25
         assert duration >= 0.0
 
-    def test_abandoned_pooled_stream_does_not_wait_for_queued_jobs(self):
+    def test_zero_window_is_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            next(pool_map_ordered(_pool_square, [1, 2], workers=1, window=0))
+
+    def test_window_draws_jobs_lazily(self):
+        # A bounded window pulls the next job only after the consumer has
+        # taken a result: an adaptive job source sees each completion first.
+        drawn = []
+
+        def source():
+            for job in range(5):
+                drawn.append(job)
+                yield job
+
+        stream = pool_map_ordered(_pool_square, source(), workers=1, window=2)
+        assert next(stream)[0] == 0
+        assert drawn == [0, 1]
+        assert next(stream)[0] == 1
+        assert drawn == [0, 1, 2]
+        assert [result for result, _ in stream] == [4, 9, 16]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_abandoned_pooled_stream_does_not_wait_for_queued_jobs(self, window):
         # Six 2-second jobs on two workers: a full drain costs >= 6s.  A
         # consumer that stops after the first result must not be held
         # hostage by the queued jobs -- close() cancels what has not
@@ -162,7 +190,7 @@ class TestPoolMapOrdered:
         jobs = [2.0] * 6
         threads_before = set(threading.enumerate())
         start = time.perf_counter()
-        stream = pool_map_ordered(_pool_sleep, jobs, workers=2)
+        stream = pool_map_ordered(_pool_sleep, jobs, workers=2, window=window)
         first, _ = next(stream)
         stream.close()
         elapsed = time.perf_counter() - start
