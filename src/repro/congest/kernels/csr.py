@@ -8,9 +8,8 @@ inserts inbox entries (see :class:`repro.congest.network.NetworkLayout`).
 
 The primitives come in two flavors:
 
-* **Exact integer/boolean reductions** (:func:`segment_sum`,
-  :func:`segment_any`, :func:`segment_min`): order-independent, one NumPy
-  pass over the edge array.
+* **Exact integer reductions** (:func:`segment_sum`, :func:`segment_min`):
+  order-independent, one NumPy pass over the edge array.
 * **The order-exact float sum** (:func:`ordered_row_sum`): the paper's
   primal-dual algorithms accumulate floating point packing values from their
   inbox *in insertion order*, and float addition is not associative -- a
@@ -30,11 +29,12 @@ against brute-force per-node loops.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
     "segment_sum",
-    "segment_any",
     "segment_min",
     "segment_min_argrank",
     "int_bit_lengths",
@@ -54,11 +54,6 @@ def segment_sum(indptr: np.ndarray, edge_values: np.ndarray) -> np.ndarray:
     cumulative = np.zeros(len(edge_values) + 1, dtype=np.int64)
     np.cumsum(edge_values, out=cumulative[1:])
     return cumulative[indptr[1:]] - cumulative[indptr[:-1]]
-
-
-def segment_any(indptr: np.ndarray, edge_flags: np.ndarray) -> np.ndarray:
-    """Per-node "any neighbor flag set" over each neighbor slice."""
-    return segment_sum(indptr, edge_flags.astype(np.int64, copy=False)) > 0
 
 
 def segment_min(
@@ -83,19 +78,27 @@ def segment_min_argrank(
     edge_values: np.ndarray,
     edge_ranks: np.ndarray,
     minima: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-node minimum rank among the edges achieving the segment minimum.
 
     ``minima`` is the per-node segment minimum (from :func:`segment_min`);
     the return value for a node is the smallest ``edge_ranks`` entry over
-    its edges whose value equals the minimum, or ``len(edge_ranks)`` for
+    its edges whose value equals the minimum, or the largest ``int64`` for
     degree-0 nodes.  This is the vectorized form of "scan the neighbors in
-    rank order and keep the first one attaining the minimum".
+    rank order and keep the first one attaining the minimum".  ``rows``
+    (``None``: every node) are the nodes scanned, one result each, and the
+    edge arrays hold only their slices, as gathered by
+    :func:`slice_positions`: the cost is ``O(len(rows) + their degrees)``.
     """
-    per_edge_min = np.repeat(minima, np.diff(indptr))
-    sentinel = len(edge_ranks) + len(indptr)
+    bounds, row_minima = indptr, minima
+    if rows is not None:
+        bounds = np.concatenate(([0], np.cumsum(indptr[rows + 1] - indptr[rows])))
+        row_minima = minima[rows]
+    per_edge_min = np.repeat(row_minima, np.diff(bounds))
+    sentinel = np.iinfo(np.int64).max
     masked = np.where(edge_values == per_edge_min, edge_ranks, sentinel)
-    return segment_min(indptr, masked, empty=sentinel)
+    return segment_min(bounds, masked, empty=sentinel)
 
 
 def int_bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -106,7 +109,7 @@ def int_bit_lengths(values: np.ndarray) -> np.ndarray:
         positive = remaining > 0
         if not positive.any():
             return out
-        out[positive] += 1
+        out += positive
         remaining >>= 1
 
 

@@ -227,19 +227,32 @@ class _EdgeBatch(NamedTuple):
 
     ``send`` spares plain runs a per-edge row column; ``kind`` is one code
     or one per edge; ``ival``/``fval`` are per-node snapshots read at each
-    edge's sender, as in :class:`_Broadcast`.
+    edge's sender, as in :class:`_Broadcast`.  A unicast without edge fates
+    carries its receivers ``recv`` and no ``edges``: positions are searched
+    only for a round of several batches, whose dedupe scatters over them.
     """
 
-    edges: np.ndarray
+    edges: Optional[np.ndarray]
     send: np.ndarray
     kind: Union[int, np.ndarray]
     ival: Optional[np.ndarray]
     fval: Optional[np.ndarray]
+    recv: Optional[np.ndarray] = None
 
     def take(self, picked):
         """The deliveries at ``picked``, in that order."""
         kind = self.kind if np.ndim(self.kind) == 0 else self.kind[picked]
         return _EdgeBatch(self.edges[picked], self.send[picked], kind, self.ival, self.fval)
+
+    def receivers(self, grid):
+        """The receiving node of each delivery."""
+        return grid.indices[self.edges] if self.recv is None else self.recv
+
+    def located(self, run):
+        """The batch with its edge positions."""
+        if self.edges is not None:
+            return self
+        return self._replace(edges=run.edge_positions(self.send, self.recv))
 
 
 def _snapshot(column):
@@ -432,10 +445,9 @@ class FaultedRun:
             return NeighborhoodInbox(self.grid, batches[0], acting), 0
         batches = [b.edge_batch(self) if isinstance(b, _Broadcast) else b for b in batches]
         grid = self.grid
-        bounds = [0, *accumulate(batch.edges.size for batch in batches)]
+        bounds = [0, *accumulate(batch.send.size for batch in batches)]
         spans = list(zip(batches, bounds, bounds[1:]))
-        edges = np.concatenate([batch.edges for batch in batches])
-        recv = grid.indices[edges]
+        recv = np.concatenate([batch.receivers(grid) for batch in batches])
         dropped = int(np.count_nonzero(crashed_now[recv])) if crashes else 0
         listed = acting[recv]
         if len(spans) > 1:
@@ -443,6 +455,8 @@ class FaultedRun:
             # per batch: scattering each batch's positions in arrival order
             # leaves every edge its last arrival (the value), in reverse
             # order its first (the position).
+            spans = [(batch.located(self), lo, hi) for batch, lo, hi in spans]
+            edges = np.concatenate([batch.edges for batch, _, _ in spans])
             if self._arrivals is None:
                 self._arrivals = np.empty((2, len(grid.indices)), dtype=np.intp)
             first, last = self._arrivals
@@ -597,15 +611,16 @@ class FaultedRun:
             self._violation(
                 senders_idx[0], grid.node_order[int(targets_idx[0])], bits, round_index
             )
-        keep, _ = self._edge_fates(round_index)
-        edges = self.edge_positions(senders_idx, targets_idx)
-        batch = _EdgeBatch(edges, senders_idx, kind, None, None)
+        keep, delays = self._edge_fates(round_index)
+        batch = _EdgeBatch(None, senders_idx, kind, None, None, targets_idx)
+        if keep is not None or delays is not None:
+            batch = batch.located(self)
         if keep is not None:
             batch = batch.take(np.flatnonzero(keep[batch.edges]))
-        self.round_metrics.dropped_messages += int(senders_idx.size - batch.edges.size)
-        if not batch.edges.size:
+        self.round_metrics.dropped_messages += int(senders_idx.size - batch.send.size)
+        if not batch.send.size:
             return
-        self._account_kept(int(batch.edges.size), bits)
+        self._account_kept(int(batch.send.size), bits)
         self._deliver(round_index, batch)
 
     def unicast_neighborhood(
@@ -677,7 +692,7 @@ class FaultedRun:
                 if permanently_crashed is None
                 else pending & ~permanently_crashed
             )
-            live = int(runnable.sum())
+            live = int(np.count_nonzero(runnable))
             if not live:
                 break
             if round_index >= limit:
@@ -698,7 +713,7 @@ class FaultedRun:
             acting = runnable if crashed_now is None else runnable & ~crashed_now
             inbox, arrival_dropped = self._collect(round_index, crashed_now, acting)
             round_metrics = RoundMetrics(
-                round_index=round_index, active_nodes=int(acting.sum())
+                round_index=round_index, active_nodes=int(np.count_nonzero(acting))
             )
             round_metrics.dropped_messages = arrival_dropped
             round_metrics.crashed_nodes = hooks.crashed_count()

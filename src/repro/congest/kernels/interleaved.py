@@ -21,7 +21,8 @@ import random
 
 import numpy as np
 
-from repro.congest.kernels.csr import int_bit_lengths, segment_min, segment_min_argrank, segment_sum
+from repro.congest.kernels.csr import int_bit_lengths, segment_min, segment_min_argrank
+from repro.congest.kernels.csr import segment_sum, slice_positions
 from repro.congest.kernels.faults import (
     KIND_DOMINATED,
     KIND_JOINED,
@@ -222,10 +223,12 @@ class UnknownDegreeProgram:
         targets = np.empty(0, dtype=np.int64)
         senders = np.flatnonzero(remote)
         if senders.size:
+            positions = slice_positions(grid.indptr[senders], grid.degrees[senders])
             min_rank = segment_min_argrank(
-                grid.indptr, received, grid.repr_rank[grid.indices], neighbor_min
+                grid.indptr, received[positions], grid.repr_rank[grid.indices[positions]],
+                neighbor_min, rows=senders,
             )
-            targets = grid.node_by_rank[min_rank[remote]]
+            targets = grid.node_by_rank[min_rank]
         return remote, senders, targets
 
     def _round_a(self, round_index, acting, inbox, run):

@@ -10,8 +10,8 @@ round                           program operation
 ==============================  ============================================
 0                               weight broadcast (per-node integer bits)
 1 (when ``r > 0``)              ``tau`` = min over the received weights
-                                (per-edge mask + segment min),
-                                ``x = tau/(Delta+1)``, x-broadcast
+                                (segment min, kept), ``x = tau/(Delta+1)``,
+                                x-broadcast, seeded load bounds
 2i (decide)                     ``X_v`` = order-exact closed-neighborhood
                                 sum of ``x`` over the rows that can still
                                 join; joiners announce (1 bit)
@@ -19,7 +19,7 @@ round                           program operation
                                 on the undominated, x-broadcast
 2r+1 (finalize)                 last absorb+increase; undominated nodes
                                 pick the cheapest received closed-
-                                neighborhood member (segment min +
+                                neighborhood member (round 1's minima +
                                 repr-rank argmin) and unicast "selected"
 2r+2 (extension)                selected nodes join; everyone finishes
 ==============================  ============================================
@@ -32,9 +32,10 @@ summed rows -- rather than any reduction that could round differently.
 Most rows need no sum at all: a certified per-node upper bound on ``X_v``
 (see :meth:`PrimalDualProgram._due_rows`) shows that they cannot reach
 their join threshold this round, so only the remaining candidates are
-summed.  The setup-time validation errors (unit weights, unknown
-``Delta``, unresolvable ``lambda``) are raised in the same precedence order
-as the per-node ``setup`` loop.
+summed; a fault-free run's first bound needs no sum.  The setup-time
+validation errors (unit weights, unknown ``Delta``, unresolvable
+``lambda``) are raised in the same precedence order as the per-node
+``setup`` loop.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.congest.kernels.csr import int_bit_lengths, segment_min, segment_min_argrank
+from repro.congest.kernels.csr import slice_positions
 from repro.congest.kernels.faults import KIND_JOINED_S, KIND_SELECTED, KIND_WEIGHT, KIND_X
 from repro.congest.kernels.faults import NeighborhoodInbox
 from repro.congest.kernels.grid import output_dicts
@@ -152,26 +154,33 @@ class PrimalDualProgram:
         # ``_due_rows``'s load bounds (None: none held) need every x to be 0
         # or normal: positive weights and a normal 1/(Delta+1) ensure it.
         self.bounded = n > 0 and self.max_degree < 2 ** 1021 and (self.weights > 0).all()
-        self.rho = _growth_factor(self.one_plus_eps, int(grid.degrees.max(initial=0)) + 1)
+        closed_max = int(grid.degrees.max(initial=0)) + 1
+        self.rho = _growth_factor(self.one_plus_eps, closed_max)
+        self.seed_factor = _growth_factor(1, closed_max)
         self.load_bound = None
+        self.neighbor_min = None  # set by _initialise
 
-    def _received_weights(self):
-        """Per edge ``v -> u``: ``w_u`` if ``v`` received it, else a sentinel."""
-        grid = self.grid
-        return np.where(self.got_weight, self.weights[grid.indices], _NO_WEIGHT)
+    def _received_weights(self, positions=slice(None)):
+        """Per edge ``v -> u`` at ``positions`` (default: every edge): ``w_u``
+        if ``v`` received it, else a sentinel."""
+        received = self.weights[self.grid.indices[positions]]
+        received[~self.got_weight[positions]] = _NO_WEIGHT
+        return received
 
     def _initialise(self, acting, inbox, run):
         if inbox is not None:
             self.got_weight |= inbox.received_edges(KIND_WEIGHT, run)
-        neighbor_min = segment_min(
-            self.grid.indptr, self._received_weights(), empty=_NO_WEIGHT
-        )
-        tau_new = np.minimum(self.weights, neighbor_min)
+        self.neighbor_min = segment_min(self.grid.indptr, self._received_weights(), _NO_WEIGHT)
+        tau_new = np.minimum(self.weights, self.neighbor_min)
         self.tau[acting] = tau_new[acting]
         self.has_tau |= acting
         x_new = tau_new / float(self.max_degree + 1)
         self.x[acting] = x_new[acting]
         self.x_partial[acting] = x_new[acting]
+        if self.bounded and acting.all() and self.got_weight.all():
+            # Every x in N[v] is at most fl(w_v/(Delta+1)): see _due_rows.
+            q = self.weights / float(self.max_degree + 1)
+            self.load_bound = (self.grid.degrees + 1.0) * q * self.seed_factor
 
     def _absorb_and_increase(self, acting, inbox):
         if inbox is not None:
@@ -183,22 +192,27 @@ class PrimalDualProgram:
     def _due_rows(self, candidates, inbox):
         """The ``candidates`` whose load may reach ``w_v/(1+eps)`` this round.
 
-        ``load_bound`` holds ``B_v``: a summed row's exact load ``L_v``,
-        times ``rho`` per decide round since (NaN for a row that was no
-        candidate last round).  A row is due when ``B_v`` reaches its
-        threshold or is zero, subnormal or not finite.
+        ``load_bound`` holds ``B_v``: the seed below, or a summed row's
+        exact load ``L_v``, times ``rho`` per decide round since (NaN for a
+        row that was no candidate last round).  A row is due when ``B_v``
+        reaches its threshold or is zero, subnormal or not finite.
 
         Proof that a skipped row would not join.  Let ``S_v`` be the exact
         sum of its ``<= K`` nonnegative terms (``K`` the largest closed
         neighborhood), ``u = 2**-53`` and ``g = K u / (1 - K u)``: a left to
-        right float64 sum has ``|L_v - S_v| <= g S_v``.  Between two decide
-        rounds each ``x`` is multiplied at most once by ``c = 1+eps`` and
-        rounded, and is 0 or normal (positive weights, normal
-        ``tau/(Delta+1)``), so ``x' <= c (1+u) x``; both inboxes hold every
-        neighbor's current ``x``, so ``S'_v <= c (1+u) S_v``.  If
-        ``S_v <= B_v/(1-g)`` (true for ``B_v = L_v``), a normal
-        ``B'_v = fl(rho B_v) >= (1-u) rho B_v >= (1+g) S'_v`` by the choice
-        of ``rho``.  That carries the hypothesis and gives
+        right float64 sum has ``|L_v - S_v| <= g S_v``.  The seed: if every
+        node initialised from every neighbor's weight, each ``tau_u`` in
+        ``N[v]`` is at most ``w_v``, so by monotone rounding each term is at
+        most the normal ``q_v = fl(w_v/(Delta+1))``, and with
+        ``f = _growth_factor(1, K) >= (1+g)/(1-u)**2`` (as ``g >= u**2``)
+        ``B_v = fl(fl((d_v+1) q_v) f) >= (1+g) (d_v+1) q_v >= (1+g) S_v``.
+        Between two decide rounds each ``x`` is multiplied at most once by
+        ``c = 1+eps`` and rounded, and is 0 or normal (positive weights,
+        normal ``tau/(Delta+1)``), so ``x' <= c (1+u) x``; both inboxes hold
+        every neighbor's current ``x``, so ``S'_v <= c (1+u) S_v``.  If
+        ``S_v <= B_v/(1-g)`` (true for ``B_v = L_v`` and for the seed), a
+        normal ``B'_v = fl(rho B_v) >= (1-u) rho B_v >= (1+g) S'_v`` by the
+        choice of ``rho``.  That carries the hypothesis and gives
         ``L'_v <= (1+g) S'_v <= B'_v``, below the threshold if ``B'_v`` is.
         An overflowing sum or bound is infinite, hence due.
 
@@ -218,8 +232,6 @@ class PrimalDualProgram:
         if self.load_bound is None:
             self.load_bound = np.full(grid.n, np.nan)
         bound = self.load_bound
-        with np.errstate(over="ignore"):
-            bound *= self.rho
         return candidates & ~((bound >= _TINY) & (bound < self.join_threshold))
 
     def _decide(self, round_index, acting, inbox, run):
@@ -231,6 +243,8 @@ class PrimalDualProgram:
         if self.load_bound is not None:
             np.copyto(self.load_bound, load, where=due)
             np.copyto(self.load_bound, np.nan, where=~candidates)
+            with np.errstate(over="ignore"):
+                self.load_bound *= self.rho
         self.in_s |= joining
         self.dominated |= joining
         run.broadcast(round_index, joining, KIND_JOINED_S, bits=1)
@@ -240,18 +254,18 @@ class PrimalDualProgram:
         undominated = acting & ~self.dominated
         if not undominated.any():
             return
-        received = self._received_weights()
-        neighbor_min = segment_min(grid.indptr, received, empty=_NO_WEIGHT)
-        remote = undominated & (neighbor_min < self.weights)
+        remote = undominated & (self.neighbor_min < self.weights)
         joins_self = undominated & ~remote
         self.in_s_prime |= joins_self
         self.dominated |= joins_self
         senders = np.flatnonzero(remote)
         if senders.size:
+            positions = slice_positions(grid.indptr[senders], grid.degrees[senders])
             min_rank = segment_min_argrank(
-                grid.indptr, received, grid.repr_rank[grid.indices], neighbor_min
+                grid.indptr, self._received_weights(positions),
+                grid.repr_rank[grid.indices[positions]], self.neighbor_min, rows=senders,
             )
-            targets = grid.node_by_rank[min_rank[remote]]
+            targets = grid.node_by_rank[min_rank]
             run.unicast(round_index, senders, targets, KIND_SELECTED, bits=1)
 
     def step(self, round_index, acting, inbox, run):

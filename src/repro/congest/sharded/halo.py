@@ -151,7 +151,7 @@ class ShardedRun(FaultedRun):
         there is to ship besides the local edges.
         """
         parity = arrival % 2
-        send, recv = batch.send, self.grid.indices[batch.edges]
+        send, recv = batch.send, batch.receivers(self.grid)
         own_target = recv < self.spec.own_count
         kind = int(batch.kind)
         pairs = (send[own_target], recv[own_target])

@@ -390,17 +390,17 @@ def csr_degeneracy(csr_graph: CSRGraph) -> int:
 
 
 def csr_is_dominating_set(csr_graph: CSRGraph, selected) -> bool:
-    """Whether ``selected`` (a node-id set or boolean mask) dominates."""
-    n = csr_graph.n
-    mask = np.zeros(n, dtype=bool)
+    """Whether ``selected`` (a node-id set or boolean mask) dominates: marks
+    the selected rows' neighbors, in ``O(n + sum of their degrees)``."""
+    mask = np.zeros(csr_graph.n, dtype=bool)
     if isinstance(selected, np.ndarray) and selected.dtype == bool:
         mask |= selected
     else:
         for node in selected:
             mask[int(node)] = True
-    if n == 0:
-        return True
-    from repro.congest.kernels.csr import segment_any
+    from repro.congest.kernels.csr import slice_positions
 
-    covered = mask | segment_any(csr_graph.indptr, mask[csr_graph.indices])
-    return bool(covered.all())
+    rows = np.flatnonzero(mask)
+    positions = slice_positions(csr_graph.indptr[rows], csr_graph.degrees[rows])
+    mask[csr_graph.indices[positions]] = True
+    return bool(mask.all())

@@ -379,7 +379,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{path}: UNREADABLE: {error}", file=sys.stderr)
             status = 1
             continue
-        problems = validate_trace(records)
+        # An empty file is what a run that never wrote leaves behind.
+        problems = validate_trace(records) if records else ["EMPTY: no records"]
         if problems:
             status = 1
             for problem in problems:

@@ -86,7 +86,9 @@ def code_version() -> str:
     return _code_version
 
 
-def cache_key(spec_hash: str, seed: int, engine: Optional[str], version: Optional[str] = None) -> str:
+def cache_key(
+    spec_hash: str, seed: int, engine: Optional[str], version: Optional[str] = None
+) -> str:
     """The content address of one (scenario, seed, engine, code version) cell."""
     coordinates = json.dumps(
         {

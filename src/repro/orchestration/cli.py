@@ -156,7 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep", help="run a scenario x seed x engine grid in parallel, through the cache"
     )
-    sweep_parser.add_argument("scenarios", nargs="*", help="scenario names (empty with --tag/--all/--smoke)")
+    sweep_parser.add_argument(
+        "scenarios", nargs="*", help="scenario names (empty with --tag/--all/--smoke)"
+    )
     sweep_parser.add_argument("--tag", help="add every scenario carrying this tag")
     sweep_parser.add_argument("--all", action="store_true", help="add every registered scenario")
     sweep_parser.add_argument(

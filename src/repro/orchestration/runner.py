@@ -631,9 +631,7 @@ class SweepRunner:
             return explicit
         if self.trace_dir is None:
             return None
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-_." else "-" for ch in cell.scenario
-        )
+        safe = "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in cell.scenario)
         name = f"{safe}__seed{cell.seed}__{cell.engine}.jsonl"
         return str(Path(self.trace_dir) / name)
 

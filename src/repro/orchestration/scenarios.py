@@ -37,7 +37,9 @@ __all__ = ["BENCH_SEED", "standard_suite_specs", "register_builtin_scenarios"]
 BENCH_SEED = 2022
 
 
-def standard_suite_specs(scale: str = "tiny", weights: Optional[WeightSpec] = None) -> List[GraphSpec]:
+def standard_suite_specs(
+    scale: str = "tiny", weights: Optional[WeightSpec] = None
+) -> List[GraphSpec]:
     """GraphSpecs mirroring :func:`repro.graphs.generators.standard_test_suite`."""
     size = STANDARD_SCALES[scale]
     rows, cols = size["grid"]

@@ -41,10 +41,10 @@ from repro.congest.kernels.csr import (
     int_bit_lengths,
     ordered_row_sum,
     row_positions,
-    segment_any,
     segment_min,
     segment_min_argrank,
     segment_sum,
+    slice_positions,
 )
 from repro.congest.kernels.faults import (
     KIND_JOINED_S,
@@ -57,7 +57,7 @@ from repro.congest.kernels.faults import (
     run_program,
 )
 from repro.congest.kernels.grid import KernelGrid, grid_from_csr, grid_from_network
-from repro.congest.kernels.primal_dual import PrimalDualProgram, _growth_factor
+from repro.congest.kernels.primal_dual import _TINY, PrimalDualProgram, _growth_factor
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
 from repro.core.weighted import WeightedMDSAlgorithm
@@ -118,16 +118,13 @@ class TestSegmentPrimitives:
 
     @FAST
     @given(**graph_params)
-    def test_segment_any_and_min_match_bruteforce(self, n, alpha, seed):
+    def test_segment_min_matches_bruteforce(self, n, alpha, seed):
         graph, csr = _random_csr(n, alpha, seed)
         rng = np.random.default_rng(seed + 1)
-        flags = rng.random(n) < 0.3
         values = rng.integers(1, 60, size=n)
-        any_set = segment_any(csr.indptr, flags[csr.indices])
         minima = segment_min(csr.indptr, values[csr.indices], empty=10 ** 9)
         for node in range(n):
             neighbors = list(graph.neighbors(node))
-            assert any_set[node] == any(flags[u] for u in neighbors)
             expected = min((values[u] for u in neighbors), default=10 ** 9)
             assert minima[node] == expected
 
@@ -149,6 +146,28 @@ class TestSegmentPrimitives:
             best = min(values[u] for u in neighbors)
             expected = min(ranks[u] for u in neighbors if values[u] == best)
             assert argranks[node] == expected
+
+    @FAST
+    @given(**graph_params, data=st.data())
+    def test_segment_min_argrank_over_rows_is_the_full_result_there(
+        self, n, alpha, seed, data
+    ):
+        _, csr = _random_csr(n, alpha, seed)
+        rng = np.random.default_rng(seed + 3)
+        values = rng.integers(1, 8, size=n)[csr.indices]
+        ranks = rng.permutation(n).astype(np.int64)[csr.indices]
+        minima = segment_min(csr.indptr, values, empty=10 ** 9)
+        full = segment_min_argrank(csr.indptr, values, ranks, minima)
+        # Any rows, in any order, repeats and degree-0 rows included.
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([])),
+            dtype=np.int64,
+        )
+        positions = slice_positions(csr.indptr[rows], np.diff(csr.indptr)[rows])
+        picked = segment_min_argrank(
+            csr.indptr, values[positions], ranks[positions], minima, rows=rows
+        )
+        assert picked.tolist() == full[rows].tolist()
 
     @FAST
     @given(data=st.data())
@@ -602,8 +621,10 @@ def _decide_rounds(check):
 
 def _checked_run(csr, weights, epsilon, alpha, watched):
     """One plain weighted run that asserts, in every decide round, that each
-    candidate left unsummed has its full exact load below its threshold.
-    Returns ``watched``'s full load in each round it is a candidate."""
+    candidate left unsummed has its full exact load below its threshold, and
+    that every candidate's normal, finite bound (the seed in the first
+    decide round) covers its load.  Returns ``watched``'s full load in each
+    round it is a candidate."""
     degrees = np.diff(csr.indptr)
     grid = KernelGrid(csr.indptr, csr.indices, weights, range(csr.n))
     config = {"max_degree": int(degrees.max(initial=0)), "alpha": alpha}
@@ -613,6 +634,10 @@ def _checked_run(csr, weights, epsilon, alpha, watched):
         loads = program.x if inbox is None else inbox.ordered_float_sum((KIND_X,), program.x)
         skipped = candidates & ~due
         assert (loads[skipped] < program.join_threshold[skipped]).all()
+        bound = program.load_bound
+        if bound is not None:
+            held = candidates & (bound >= _TINY) & (bound < np.inf)
+            assert (loads[held] <= bound[held]).all()
         if candidates[watched]:
             watched_loads.append(float(loads[watched]))
 
@@ -663,6 +688,35 @@ class TestDueRows:
         self, n, alpha, seed, epsilon, data
     ):
         _assert_skipped_rows_stay_below(n, alpha, seed, epsilon, data)
+
+    @FAST
+    @given(
+        degree=st.integers(3, 30), data=st.data(), ulps=st.integers(-3, 3),
+        weight=st.integers(2 ** 40, 2 ** 60),
+    )
+    def test_seed_covers_the_first_load_where_it_is_tight(self, degree, data, ulps, weight):
+        """The first decide round's seed at its tightest.  Node 0 is the
+        lightest node in each neighbor's closed neighborhood, so every term
+        of its load is ``fl(w_0/(Delta+1))``; a separate star sets
+        ``Delta``, and ``1+eps`` lies within a few ulps of
+        ``(Delta+1)/(d_0+1)``, so the threshold lands on the load.  With
+        ``alpha = 1`` there is a decide round once ``d_0 > 2``."""
+        surplus = data.draw(st.integers(1, degree))  # Delta + 1 - (d_0 + 1)
+        max_degree = degree + surplus
+        graph = nx.star_graph(degree)  # node 0 and its spokes 1..degree
+        hub = degree + 1
+        graph.add_edges_from((hub, hub + leaf) for leaf in range(1, max_degree + 1))
+        csr = large_scale.csr_from_networkx(graph)
+        rng = np.random.default_rng(weight)
+        weights = weight + rng.integers(1, 2 ** 20, size=csr.n)
+        weights[0] = weight
+        epsilon = float(Fraction(max_degree + 1, degree + 1) - 1)
+        for _ in range(abs(ulps)):
+            epsilon = math.nextafter(epsilon, math.copysign(math.inf, ulps))
+        loads = _checked_run(csr, weights, epsilon, 1, 0)
+        # Node 0's first load is its d_0 + 1 equal terms.
+        term = weight / float(max_degree + 1)
+        assert loads[0] == _left_fold(term, [term] * degree)
 
     @pytest.mark.slow
     @settings(
@@ -799,6 +853,26 @@ class TestCSRRoundTrip:
             assert large_scale.csr_degeneracy(csr) == 0
         else:
             assert large_scale.csr_degeneracy(csr) == degeneracy(graph)
+
+    @FAST
+    @given(**graph_params, isolated=st.integers(0, 3), data=st.data())
+    def test_csr_is_dominating_set_matches_per_node_check(
+        self, n, alpha, seed, isolated, data
+    ):
+        graph = random_bounded_arboricity_graph(n, alpha=alpha, seed=seed)
+        graph.add_nodes_from(range(n, n + isolated))
+        total = n + isolated  # n = 0 with no isolated node is the empty graph
+        csr = large_scale.csr_from_networkx(graph)
+        chosen = data.draw(st.lists(st.booleans(), min_size=total, max_size=total))
+        mask = np.array(chosen, dtype=bool)
+        ids = {node for node in range(total) if chosen[node]}
+        expected = all(
+            node in ids or any(u in ids for u in graph.neighbors(node)) for node in graph
+        )
+        assert large_scale.csr_is_dominating_set(csr, mask) is expected
+        assert mask.tolist() == chosen  # the caller's mask is not written
+        assert large_scale.csr_is_dominating_set(csr, ids) is expected
+        assert large_scale.csr_is_dominating_set(csr, np.flatnonzero(mask)) is expected
 
     def test_streamed_generators_have_valid_structure(self):
         for csr in [

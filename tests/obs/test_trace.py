@@ -291,6 +291,17 @@ class TestFileTracerAndValidator:
         path.write_text('{"type": "nope"}\n')
         assert main([str(path)]) == 1
 
+    def test_module_cli_rejects_an_empty_file(self, tmp_path, capsys):
+        from repro.obs.trace import main
+
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main([str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "EMPTY" in captured.err and "ok" not in captured.out
+        # The library check still reads an empty record list as a valid trace.
+        assert validate_trace([]) == []
+
 
 def _run_span(run_id, *, rounds):
     return {
